@@ -158,7 +158,11 @@ void BM_PrefixSum(benchmark::State& state) {
   SplitMix64 rng(1);
   std::vector<uint32_t> cost(state.range(0));
   for (auto& c : cost) c = static_cast<uint32_t>(rng.below(10000));
-  for (auto _ : state) benchmark::DoNotOptimize(prefix_sum(cost));
+  std::vector<uint64_t> cum;
+  for (auto _ : state) {
+    prefix_sum_into(cost, &cum);
+    benchmark::DoNotOptimize(cum.data());
+  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PrefixSum)->Arg(326)->Arg(4096);
@@ -167,8 +171,13 @@ void BM_BalancedPartitionSearch(benchmark::State& state) {
   SplitMix64 rng(2);
   std::vector<uint32_t> cost(1024);
   for (auto& c : cost) c = static_cast<uint32_t>(rng.below(10000));
-  const auto cum = prefix_sum(cost);
-  for (auto _ : state) benchmark::DoNotOptimize(balanced_partition(cum, 32));
+  std::vector<uint64_t> cum;
+  prefix_sum_into(cost, &cum);
+  std::vector<int> bounds;
+  for (auto _ : state) {
+    balanced_partition_into(cum, 32, &bounds);
+    benchmark::DoNotOptimize(bounds.data());
+  }
   state.SetLabel("32-way partition of 1024 scanlines");
 }
 BENCHMARK(BM_BalancedPartitionSearch);

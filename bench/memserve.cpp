@@ -291,7 +291,8 @@ int main(int argc, char** argv) {
       std::vector<uint8_t> payload;
       msg.encode(&payload);  // copies the blob into the payload
       std::vector<uint8_t> out;
-      net::encode_message(net::MsgType::kFrame, payload, &out);  // copies again
+      net::encode_message(net::MsgType::kFrame, payload.data(), payload.size(),
+                          &out);  // copies again
       copied += msg.encoded.size() + payload.size();
       wire_bytes += out.size();
     };

@@ -89,11 +89,14 @@ else
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 
   # Functions on the warm delivery path: a rendered frame travels
-  # encode_meta/encode_append -> send_frame -> queue_send (headers via
-  # encode_header/put_u32_at) -> write_ready, with recycle_frame/release/
-  # discard_outbound returning storage to the pools. bench/memserve pins
-  # this path at 0 allocations per warm frame; these AST rules make the
-  # "how" a reviewable invariant instead of a benchmark-only observation.
+  # encode_meta/encode_append -> send_frame -> Transport::send (headers via
+  # encode_header/put_u32_at) -> write_ready -> Transport::flush (the
+  # sendmsg drain), with recycle_frame/release/discard_output returning
+  # storage to the pools; completions arrive through drain_completions,
+  # requests through receive/next/read_frames, and the router relays frames
+  # through handle_upstream_message -> forward. bench/memserve pins this
+  # path at 0 allocations per warm frame; these AST rules make the "how" a
+  # reviewable invariant instead of a benchmark-only observation.
   #
   # The render inner loop is held to the same no-new rule: render() (both
   # parallel renderers, including every worker lambda in their bodies — the
@@ -102,13 +105,15 @@ else
   # FrameScratch. The scratch's own grow path (FrameScratch::begin_frame,
   # a separate function in frame_scratch.hpp) is intentionally outside the
   # matched set: growth on a P/dims change is the one legal allocation.
-  delivery='"send_frame","queue_send","write_ready","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
+  delivery='"send_frame","send","write_ready","flush","forward","receive","next","read_frames","drain_completions","handle_upstream_message","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","discard_output","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
   # The strictly in-place subset: these may not even append to a container
   # (the wider set legitimately push_backs into reserved pooled/member
   # scratch, which reuses capacity on the warm path).
-  inplace='"write_ready","put_u32_at","encode_header","discard_outbound"'
+  inplace='"write_ready","flush","put_u32_at","encode_header","discard_output"'
   files=(
     "$root/src/net/server.cpp"
+    "$root/src/net/transport.cpp"
+    "$root/src/cluster/router.cpp"
     "$root/src/net/frame_codec.cpp"
     "$root/src/net/wire.cpp"
     "$root/src/serve/service.cpp"

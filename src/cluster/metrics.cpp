@@ -1,8 +1,7 @@
 #include "cluster/metrics.hpp"
 
-#include <cctype>
-
 #include "util/json.hpp"
+#include "util/json_parse.hpp"
 
 namespace psw::cluster {
 
@@ -18,63 +17,15 @@ const char* to_string(ShardState s) {
 
 namespace {
 
-// Parses the unsigned integer following `"key":` starting at `from`;
-// returns false when the key is absent before `until`.
-bool scan_from(const std::string& json, const std::string& key, size_t from,
-               size_t until, uint64_t* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle, from);
-  if (at == std::string::npos || at >= until) return false;
-  size_t p = at + needle.size();
-  while (p < until && std::isspace(static_cast<unsigned char>(json[p]))) ++p;
-  uint64_t v = 0;
-  bool any = false;
-  while (p < until && std::isdigit(static_cast<unsigned char>(json[p]))) {
-    v = v * 10 + static_cast<uint64_t>(json[p] - '0');
-    any = true;
-    ++p;
-  }
-  if (!any) return false;
-  *out = v;
-  return true;
-}
-
-// [start, end) of the brace-balanced block of the first `"object": {`.
-bool object_extent(const std::string& json, const std::string& object,
-                   size_t* begin, size_t* end) {
-  const std::string needle = "\"" + object + "\":";
-  size_t at = json.find(needle);
-  if (at == std::string::npos) return false;
-  size_t p = json.find('{', at + needle.size());
-  if (p == std::string::npos) return false;
-  int depth = 0;
-  for (size_t i = p; i < json.size(); ++i) {
-    if (json[i] == '{') ++depth;
-    if (json[i] == '}' && --depth == 0) {
-      *begin = p;
-      *end = i + 1;
-      return true;
-    }
-  }
-  return false;
+// doc.service.<object>.<key> of one shard's metrics document; 0 if absent.
+uint64_t service_u64(const JsonValue& doc, const char* object, const char* key) {
+  const JsonValue* service = doc.find("service");
+  const JsonValue* obj = service ? service->find(object) : nullptr;
+  const JsonValue* v = obj ? obj->find(key) : nullptr;
+  return v ? v->as_u64() : 0;
 }
 
 }  // namespace
-
-uint64_t scan_json_u64(const std::string& json, const std::string& key) {
-  uint64_t v = 0;
-  scan_from(json, key, 0, json.size(), &v);
-  return v;
-}
-
-uint64_t scan_json_u64_in(const std::string& json, const std::string& object,
-                          const std::string& key) {
-  size_t begin = 0, end = 0;
-  if (!object_extent(json, object, &begin, &end)) return 0;
-  uint64_t v = 0;
-  scan_from(json, key, begin, end, &v);
-  return v;
-}
 
 std::string aggregate_metrics_json(const RouterMetrics& m,
                                    const std::vector<ShardSnapshot>& shards) {
@@ -85,9 +36,12 @@ std::string aggregate_metrics_json(const RouterMetrics& m,
   LatencyHistogram merged;
   for (size_t i = 0; i < shards.size(); ++i) {
     const ShardSnapshot& s = shards[i];
-    completed += scan_json_u64_in(s.metrics_json, "completion", "completed");
-    cache_hits += scan_json_u64_in(s.metrics_json, "volume_cache", "hits");
-    cache_misses += scan_json_u64_in(s.metrics_json, "volume_cache", "misses");
+    JsonValue doc;
+    if (json_parse(s.metrics_json, &doc)) {
+      completed += service_u64(doc, "completion", "completed");
+      cache_hits += service_u64(doc, "volume_cache", "hits");
+      cache_misses += service_u64(doc, "volume_cache", "misses");
+    }
     if (s.state == ShardState::kHealthy || s.state == ShardState::kDraining) {
       ++healthy;
     }
@@ -99,6 +53,7 @@ std::string aggregate_metrics_json(const RouterMetrics& m,
   w.begin_object();
   w.key("router").begin_object()
       .field("clients_accepted", m.clients_accepted.load())
+      .field("clients_closed", m.clients_closed.load())
       .field("clients_rejected", m.clients_rejected.load())
       .field("hello_rejects", m.hello_rejects.load())
       .field("protocol_errors", m.protocol_errors.load())
@@ -107,8 +62,7 @@ std::string aggregate_metrics_json(const RouterMetrics& m,
       .field("frames_forwarded", m.frames_forwarded.load())
       .field("metrics_served", m.metrics_served.load())
       .field("reroutes", m.reroutes.load())
-      .field("unavailable_rejections", m.unavailable_rejections.load())
-      .field("orphaned_replies", m.orphaned_replies.load());
+      .field("unavailable_rejections", m.unavailable_rejections.load());
   w.key("frame_latency_ms");
   merged.write_json(w);
   w.end_object();
@@ -145,33 +99,14 @@ std::string aggregate_metrics_json(const RouterMetrics& m,
       w.key("frame_latency_ms");
       c.frame_latency_ms.write_json(w);
     }
-    // The shard's own metrics document, embedded verbatim (it is already
-    // JSON; an empty snapshot becomes null).
-    w.key("metrics");
-    if (s.metrics_json.empty()) {
-      w.value("null");  // placeholder replaced below
-    } else {
-      w.value("@SHARD@");  // placeholder replaced below
-    }
+    // The shard's own metrics document, embedded verbatim (null until the
+    // first probe answers).
+    w.key("metrics").raw(s.metrics_json.empty() ? "null" : s.metrics_json);
     w.end_object();
   }
   w.end_array();
   w.end_object();
-
-  // JsonWriter only emits scalar values; splice the raw shard documents in
-  // place of the placeholders it wrote.
-  std::string out = w.str();
-  size_t cursor = 0;
-  for (const ShardSnapshot& s : shards) {
-    const std::string placeholder =
-        s.metrics_json.empty() ? "\"null\"" : "\"@SHARD@\"";
-    const size_t at = out.find(placeholder, cursor);
-    if (at == std::string::npos) break;
-    const std::string replacement = s.metrics_json.empty() ? "null" : s.metrics_json;
-    out.replace(at, placeholder.size(), replacement);
-    cursor = at + replacement.size();
-  }
-  return out;
+  return w.str();
 }
 
 }  // namespace psw::cluster

@@ -56,6 +56,7 @@ struct RouterMetrics {
   }
 
   std::atomic<uint64_t> clients_accepted{0};
+  std::atomic<uint64_t> clients_closed{0};
   std::atomic<uint64_t> clients_rejected{0};  // accept cap
   std::atomic<uint64_t> hello_rejects{0};     // unsupported hello version
   std::atomic<uint64_t> protocol_errors{0};
@@ -65,7 +66,6 @@ struct RouterMetrics {
   std::atomic<uint64_t> metrics_served{0};     // aggregated endpoint hits
   std::atomic<uint64_t> reroutes{0};           // session re-pinned after loss
   std::atomic<uint64_t> unavailable_rejections{0};  // no eligible shard
-  std::atomic<uint64_t> orphaned_replies{0};   // reply after client went away
 
   std::vector<std::unique_ptr<ShardCounters>> shards;
 };
@@ -84,17 +84,5 @@ struct ShardSnapshot {
 // shard metrics JSON, and cluster rollups summed from the shard documents.
 std::string aggregate_metrics_json(const RouterMetrics& m,
                                    const std::vector<ShardSnapshot>& shards);
-
-// Scans `json` for `"key": <unsigned integer>` at any nesting level and
-// returns the first match; 0 when absent. Good enough for rolling up the
-// service documents this repo emits (keys chosen to be unambiguous), without
-// growing a JSON parser.
-uint64_t scan_json_u64(const std::string& json, const std::string& key);
-
-// As scan_json_u64, but looks only inside the first `"object": { ... }`
-// block, so keys that repeat across sub-objects (cache hits vs pool hits)
-// can be addressed unambiguously.
-uint64_t scan_json_u64_in(const std::string& json, const std::string& object,
-                          const std::string& key);
 
 }  // namespace psw::cluster

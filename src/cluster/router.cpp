@@ -1,85 +1,19 @@
 #include "cluster/router.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "obs/export.hpp"
-#include "util/json.hpp"
 #include "util/timer.hpp"
 
 namespace psw::cluster {
 
+using net::IoStatus;
 using net::MsgType;
-using net::WireMessage;
 using net::WireStatus;
 using serve::Clock;
-
-namespace {
-
-constexpr size_t kReadChunk = 64 * 1024;
-// Compact a flat send buffer once this many flushed bytes accumulate.
-constexpr size_t kCompactThreshold = 256 * 1024;
-
-double ms_since(Clock::time_point then, Clock::time_point now) {
-  return std::chrono::duration<double, std::milli>(now - then).count();
-}
-
-// Reads everything currently available into `in`. Returns false on EOF or a
-// hard error (the connection is done).
-bool read_available(int fd, std::vector<uint8_t>* in) {
-  for (;;) {
-    const size_t old = in->size();
-    in->resize(old + kReadChunk);
-    const ssize_t n = ::recv(fd, in->data() + old, kReadChunk, 0);
-    if (n > 0) {
-      in->resize(old + static_cast<size_t>(n));
-      if (static_cast<size_t>(n) < kReadChunk) return true;
-      continue;
-    }
-    in->resize(old);
-    if (n == 0) return false;  // orderly EOF
-    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
-  }
-}
-
-// Decodes complete wire messages off the front of `in`, calling
-// handler(msg) for each. Returns false when the connection must close
-// (framing error, or the handler said stop); *framing_error reports which.
-template <typename Handler>
-bool drain_messages(std::vector<uint8_t>* in, bool* framing_error,
-                    Handler&& handler) {
-  *framing_error = false;
-  size_t off = 0;
-  bool keep = true;
-  while (keep) {
-    WireMessage msg;
-    size_t consumed = 0;
-    const WireStatus status =
-        net::decode_message(in->data() + off, in->size() - off, &msg, &consumed);
-    if (status == WireStatus::kNeedMore) break;
-    if (status != WireStatus::kOk) {
-      *framing_error = true;
-      keep = false;
-      break;
-    }
-    off += consumed;
-    keep = handler(msg);
-  }
-  if (off > 0) in->erase(in->begin(), in->begin() + static_cast<long>(off));
-  return keep;
-}
-
-}  // namespace
 
 Router::Router(std::vector<ShardSpec> shards, RouterOptions options)
     : specs_(std::move(shards)),
@@ -109,17 +43,10 @@ bool Router::start(std::string* error) {
   if (!listener_.valid()) return false;
   net::set_nonblocking(listener_.get(), true);
   port_ = net::local_port(listener_.get());
-
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    if (error) *error = std::string("pipe: ") + std::strerror(errno);
+  if (!wake_.open(error)) {
     listener_.reset();
     return false;
   }
-  wake_rd_.reset(pipe_fds[0]);
-  wake_wr_.reset(pipe_fds[1]);
-  net::set_nonblocking(wake_rd_.get(), true);
-  net::set_nonblocking(wake_wr_.get(), true);
 
   stopping_.store(false);
   const Clock::time_point now = Clock::now();
@@ -134,26 +61,11 @@ bool Router::start(std::string* error) {
 void Router::stop() {
   if (!running()) return;
   stopping_.store(true);
-  wake();
+  net::WakePipe::wake(wake_.wr.get());
   thread_.join();
-  conns_.clear();
-  for (Shard& s : shards_) {
-    s.ctl.reset();
-    s.connecting = false;
-    s.hello_done = false;
-    s.in.clear();
-    s.out.clear();
-    s.out_off = 0;
-  }
+  while (!conns_.empty()) close_client(conns_.begin()->first);
+  for (Shard& s : shards_) s.ctl.reset();  // reconnects say hello afresh
   listener_.reset();
-  wake_rd_.reset();
-  wake_wr_.reset();
-}
-
-void Router::wake() {
-  if (!wake_wr_.valid()) return;
-  const uint8_t byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_wr_.get(), &byte, 1);
 }
 
 bool Router::wait_healthy(size_t n, double timeout_ms) const {
@@ -177,7 +89,7 @@ bool Router::set_drain(const std::string& shard_id, bool draining) {
       // relaxed: a one-word request flag; the poll thread re-reads it on
       // its next iteration and the pipe write below provides the wakeup.
       drain_want_[i].store(draining, std::memory_order_relaxed);
-      wake();
+      net::WakePipe::wake(wake_.wr.get());
       return true;
     }
   }
@@ -205,6 +117,8 @@ std::string Router::prometheus_text() const {
   obs::PromText p;
   p.counter("psw_router_clients_accepted_total", "Client connections accepted",
             metrics_.clients_accepted.load());
+  p.counter("psw_router_clients_closed_total", "Client connections closed",
+            metrics_.clients_closed.load());
   p.counter("psw_router_clients_rejected_total",
             "Client connections rejected at the accept cap",
             metrics_.clients_rejected.load());
@@ -236,33 +150,12 @@ std::string Router::prometheus_text() const {
                  "Server total_ms of forwarded frames", c.frame_latency_ms,
                  label);
   }
-  if (options_.recorder != nullptr) {
-    p.counter("psw_trace_spans_recorded_total", "Spans recorded",
-              options_.recorder->recorded());
-    p.counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
-              options_.recorder->overwritten());
-  }
+  p.recorder_counters(options_.recorder);
   return p.str();
 }
 
 std::string Router::trace_dump_json() const {
-  if (options_.recorder != nullptr) {
-    return options_.recorder->dump_json(options_.trace_node);
-  }
-  JsonWriter w;
-  w.begin_object();
-  w.field("node", options_.trace_node);
-  w.field("anchor_unix_ns", static_cast<uint64_t>(clock_anchor().wall_ns));
-  w.field("recorded", static_cast<uint64_t>(0));
-  w.field("overwritten", static_cast<uint64_t>(0));
-  w.key("spans");
-  w.begin_array();
-  w.end_array();
-  w.key("slow");
-  w.begin_array();
-  w.end_array();
-  w.end_object();
-  return w.str();
+  return obs::trace_dump_json(options_.recorder, options_.trace_node);
 }
 
 // --------------------------------------------------------------------------
@@ -275,7 +168,7 @@ void Router::poll_loop() {
     uint64_t conn_id = 0;
     size_t shard = 0;
   };
-  std::vector<pollfd> fds;
+  net::PollSet poll;
   std::vector<Slot> slots;
 
   while (!stopping_.load()) {
@@ -296,72 +189,57 @@ void Router::poll_loop() {
     for (Shard& s : shards_) advance_shard(s, now);
 
     // Build the poll set.
-    fds.clear();
+    poll.clear();
     slots.clear();
-    fds.push_back({listener_.get(), POLLIN, 0});
-    fds.push_back({wake_rd_.get(), POLLIN, 0});
+    poll.add(listener_.get(), POLLIN);
+    poll.add(wake_.rd.get(), POLLIN);
     for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.out_off < conn.out.size()) events |= POLLOUT;
-      fds.push_back({conn.fd.get(), events, 0});
+      poll.add(conn.link.fd(), conn.link.poll_events());
       slots.push_back({Slot::Kind::kClient, id, 0});
       for (auto& [shard, up] : conn.upstreams) {
-        if (!up.fd.valid()) continue;
-        short uevents = 0;
-        if (up.connecting) {
-          uevents = POLLOUT;
-        } else {
-          uevents = POLLIN;
-          if (up.out_off < up.out.size()) uevents |= POLLOUT;
-        }
-        fds.push_back({up.fd.get(), uevents, 0});
+        poll.add(up.link.fd(), up.link.poll_events());
         slots.push_back({Slot::Kind::kUpstream, id, shard});
       }
     }
     for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = shards_[i];
-      if (!s.ctl.valid()) continue;
-      short events = 0;
-      if (s.connecting) {
-        events = POLLOUT;
-      } else {
-        events = POLLIN;
-        if (s.out_off < s.out.size()) events |= POLLOUT;
-      }
-      fds.push_back({s.ctl.get(), events, 0});
+      if (!shards_[i].ctl.open()) continue;
+      poll.add(shards_[i].ctl.fd(), shards_[i].ctl.poll_events());
       slots.push_back({Slot::Kind::kCtl, 0, i});
     }
 
-    ::poll(fds.data(), fds.size(), 50);
+    poll.wait(50);
     if (stopping_.load()) break;
 
-    if (fds[1].revents & POLLIN) {
-      uint8_t buf[64];
-      while (::read(wake_rd_.get(), buf, sizeof(buf)) > 0) {
-      }
+    if (poll.revents(1) & POLLIN) wake_.drain();
+    if (poll.revents(0) & POLLIN) {
+      net::accept_pending(listener_.get(), conns_.size(),
+                          static_cast<size_t>(options_.max_connections),
+                          &metrics_.clients_rejected, [this](net::UniqueFd fd) {
+                            ClientConn conn;
+                            conn.id = next_conn_id_++;
+                            conn.link = net::Transport(std::move(fd));
+                            metrics_.clients_accepted.fetch_add(1);
+                            conns_.emplace(conn.id, std::move(conn));
+                          });
     }
-    if (fds[0].revents & POLLIN) accept_ready();
 
-    std::vector<uint64_t> dead_clients;
-    std::vector<size_t> dead_shards;  // via data-path upstream loss
+    std::set<uint64_t> dead_clients;
+    std::set<size_t> dead_shards;  // via data-path upstream loss
 
     for (size_t i = 0; i < slots.size(); ++i) {
       const Slot& slot = slots[i];
-      const short revents = fds[i + 2].revents;
+      const short revents = poll.revents(i + 2);
       if (revents == 0) continue;
       const auto it = conns_.find(slot.conn_id);
 
       switch (slot.kind) {
         case Slot::Kind::kClient: {
           if (it == conns_.end()) break;
-          ClientConn& conn = it->second;
-          if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-            if (!(revents & POLLIN)) {
-              dead_clients.push_back(conn.id);
-              break;
-            }
+          if (revents & POLLIN) {
+            client_read(it->second);
+          } else if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
+            dead_clients.insert(slot.conn_id);
           }
-          if (revents & POLLIN) client_read(conn);
           break;
         }
         case Slot::Kind::kUpstream: {
@@ -370,130 +248,61 @@ void Router::poll_loop() {
           const auto uit = conn.upstreams.find(slot.shard);
           if (uit == conn.upstreams.end()) break;
           Upstream& up = uit->second;
-          if (up.connecting && (revents & (POLLOUT | POLLERR | POLLHUP))) {
-            const int err = net::finish_nonblocking_connect(up.fd.get());
-            if (err != 0) {
-              up.broken = true;
-              dead_shards.push_back(up.shard);
-              break;
-            }
-            up.connecting = false;
+          if (!up.link.finish_connect(revents)) up.broken = true;
+          if (!up.link.connecting() && !up.broken && (revents & POLLIN)) {
+            upstream_read(conn, up);
           }
-          if (!up.connecting && (revents & POLLIN)) upstream_read(conn, up);
-          if (up.broken) dead_shards.push_back(up.shard);
+          if (up.broken) dead_shards.insert(up.shard);
           break;
         }
         case Slot::Kind::kCtl: {
           Shard& s = shards_[slot.shard];
-          if (!s.ctl.valid()) break;
-          if (s.connecting && (revents & (POLLOUT | POLLERR | POLLHUP))) {
-            const int err = net::finish_nonblocking_connect(s.ctl.get());
-            if (err != 0) {
-              ctl_failure(s, "connect failed");
-              break;
-            }
-            s.connecting = false;
-            // Handshake first; the first probe follows the hello ack.
-            net::HelloMsg hello;
-            hello.version = net::kProtocolVersion;
-            hello.name = options_.name;
-            std::vector<uint8_t> payload;
-            hello.encode(&payload);
-            queue_message(&s.out, MsgType::kHello, payload);
+          if (!s.ctl.open()) break;
+          if (!s.ctl.finish_connect(revents)) {
+            ctl_failure(s, "connect failed");
+            break;
           }
-          if (!s.connecting && (revents & POLLIN)) shard_ctl_read(s);
+          if (!s.ctl.connecting() && (revents & POLLIN)) shard_ctl_read(s);
           break;
         }
       }
     }
 
-    // Flush everything with pending output (newly queued bytes included).
+    // Flush everything with pending output (newly queued bytes included),
+    // then retire clients that failed, finished, or sat idle with nothing
+    // outstanding.
     for (auto& [id, conn] : conns_) {
-      if (conn.out_off < conn.out.size()) {
-        if (!flush_out(conn.fd.get(), &conn.out, &conn.out_off)) {
-          dead_clients.push_back(id);
-          continue;
-        }
-      }
-      if (conn.out.size() - conn.out_off > options_.max_send_buffer_bytes) {
-        // A reader this slow would make the router buffer frames without
-        // bound (forwarded delta frames cannot be dropped: the codec chain
-        // breaks). Cut the connection instead.
-        metrics_.protocol_errors.fetch_add(1);
-        dead_clients.push_back(id);
-        continue;
-      }
-      if (conn.closing && conn.out_off >= conn.out.size()) {
-        dead_clients.push_back(id);
-        continue;
-      }
+      bool outstanding = false;
       for (auto& [shard, up] : conn.upstreams) {
-        if (!up.fd.valid() || up.connecting || up.broken) continue;
-        if (up.out_off < up.out.size()) {
-          if (!flush_out(up.fd.get(), &up.out, &up.out_off)) {
-            up.broken = true;
-            dead_shards.push_back(shard);
-          }
+        if (!up.broken && up.link.flush(nullptr) == IoStatus::kClosed) {
+          up.broken = true;
+          dead_shards.insert(shard);
         }
+        outstanding |= !up.inflight_requests.empty() || !up.active_streams.empty();
+      }
+      const bool open = conn.link.flush(nullptr) != IoStatus::kClosed;
+      // A reader this slow would make the router buffer frames without
+      // bound (forwarded delta frames cannot be dropped: the codec chain
+      // breaks). Cut the connection instead.
+      const bool slow = conn.link.queued_bytes() > options_.max_send_buffer_bytes;
+      if (slow) metrics_.protocol_errors.fetch_add(1);
+      if (!open || slow || (conn.closing && conn.link.output_empty()) ||
+          (!outstanding && conn.link.idle(options_.idle_timeout_ms, now))) {
+        dead_clients.insert(id);
       }
     }
     for (Shard& s : shards_) {
-      if (!s.ctl.valid() || s.connecting) continue;
-      if (s.out_off < s.out.size()) {
-        if (!flush_out(s.ctl.get(), &s.out, &s.out_off)) {
-          ctl_failure(s, "control write failed");
-        }
-      }
-    }
-
-    // Idle-harvest clients with nothing outstanding.
-    if (options_.idle_timeout_ms > 0) {
-      for (auto& [id, conn] : conns_) {
-        bool outstanding = conn.out_off < conn.out.size();
-        for (auto& [shard, up] : conn.upstreams) {
-          if (!up.inflight_requests.empty() || !up.active_streams.empty()) {
-            outstanding = true;
-          }
-        }
-        if (!outstanding && ms_since(conn.last_activity, now) > options_.idle_timeout_ms) {
-          dead_clients.push_back(id);
-        }
+      if (s.ctl.flush(nullptr) == IoStatus::kClosed) {
+        ctl_failure(s, "control write failed");
       }
     }
 
     // Data-path losses eject the shard (which notifies every affected
     // client), then dead clients go away.
-    std::sort(dead_shards.begin(), dead_shards.end());
-    dead_shards.erase(std::unique(dead_shards.begin(), dead_shards.end()),
-                      dead_shards.end());
     for (const size_t shard : dead_shards) {
       eject_shard(shard, "upstream connection lost");
     }
-    std::sort(dead_clients.begin(), dead_clients.end());
-    dead_clients.erase(std::unique(dead_clients.begin(), dead_clients.end()),
-                       dead_clients.end());
     for (const uint64_t id : dead_clients) close_client(id);
-  }
-}
-
-void Router::accept_ready() {
-  for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) return;
-    if (conns_.size() >= static_cast<size_t>(options_.max_connections)) {
-      metrics_.clients_rejected.fetch_add(1);
-      ::close(fd);
-      continue;
-    }
-    net::set_nonblocking(fd, true);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ClientConn conn;
-    conn.id = next_conn_id_++;
-    conn.fd.reset(fd);
-    conn.last_activity = Clock::now();
-    metrics_.clients_accepted.fetch_add(1);
-    conns_.emplace(conn.id, std::move(conn));
   }
 }
 
@@ -502,23 +311,20 @@ void Router::accept_ready() {
 // --------------------------------------------------------------------------
 
 void Router::client_read(ClientConn& conn) {
-  if (!read_available(conn.fd.get(), &conn.in)) {
-    conn.closing = true;
-    return;
-  }
-  conn.last_activity = Clock::now();
-  bool framing_error = false;
-  const bool keep = drain_messages(&conn.in, &framing_error, [&](const WireMessage& m) {
-    return handle_client_message(conn, m);
-  });
-  if (framing_error) {
+  WireStatus framing = WireStatus::kOk;
+  const bool open = conn.link.read_frames(
+      nullptr,
+      [&](const net::WireView& msg) { return handle_client_message(conn, msg); },
+      &framing);
+  if (framing != WireStatus::kOk) {
     metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "wire error");
+    send_client_error(conn, 0, serve::ServeStatus::kError,
+                      std::string("wire error: ") + net::to_string(framing));
   }
-  if (!keep) conn.closing = true;
+  if (!open) conn.closing = true;
 }
 
-bool Router::handle_client_message(ClientConn& conn, const WireMessage& msg) {
+bool Router::handle_client_message(ClientConn& conn, const net::WireView& msg) {
   if (!conn.got_hello && msg.type != MsgType::kHello) {
     metrics_.protocol_errors.fetch_add(1);
     send_client_error(conn, 0, serve::ServeStatus::kError, "expected hello first");
@@ -526,53 +332,26 @@ bool Router::handle_client_message(ClientConn& conn, const WireMessage& msg) {
   }
   switch (msg.type) {
     case MsgType::kHello: {
-      net::HelloMsg hello;
-      if (!net::HelloMsg::decode(msg.payload, &hello)) break;
-      // Same contract as netserve: the peer's intended protocol version
-      // must match ours — a mixed-version fleet answers with a typed error
-      // instead of bytes the peer cannot parse.
-      if (hello.version != net::kProtocolVersion) {
+      std::string rejection;
+      if (!net::check_hello(msg.payload, &rejection)) break;
+      if (!rejection.empty()) {
         metrics_.hello_rejects.fetch_add(1);
-        send_client_error(conn, 0, serve::ServeStatus::kError,
-                          "unsupported protocol version " +
-                              std::to_string(hello.version) + " (want " +
-                              std::to_string(net::kProtocolVersion) + ")");
+        send_client_error(conn, 0, serve::ServeStatus::kError, rejection);
         return false;
       }
       conn.got_hello = true;
-      net::HelloMsg ack;
-      ack.version = net::kProtocolVersion;
-      ack.name = options_.name;
-      send_client_payload(conn, MsgType::kHelloAck, ack);
+      send_hello(conn.link, MsgType::kHelloAck);
       return true;
     }
     case MsgType::kRenderRequest:
-      route_render_request(conn, msg);
-      return true;
     case MsgType::kStreamRequest:
-      route_stream_request(conn, msg);
+      route_request(conn, msg);
       return true;
-    case MsgType::kMetricsRequest: {
+    case MsgType::kMetricsRequest:
       metrics_.metrics_served.fetch_add(1);
-      // Same selector contract as netserve: empty payload keeps the
-      // aggregated-JSON document, one byte picks an alternative exposition.
-      uint8_t selector = net::kMetricsSelectorJson;
-      if (msg.payload.size() == 1) selector = msg.payload[0];
-      net::MetricsReplyMsg reply;
-      switch (selector) {
-        case net::kMetricsSelectorPrometheus:
-          reply.json = prometheus_text();
-          break;
-        case net::kMetricsSelectorTrace:
-          reply.json = trace_dump_json();
-          break;
-        default:
-          reply.json = metrics_json();
-          break;
-      }
-      send_client_payload(conn, MsgType::kMetricsReply, reply);
+      conn.link.send(MsgType::kMetricsReply, net::metrics_reply(*this, msg.payload),
+                     pool_);
       return true;
-    }
     case MsgType::kBye:
       return false;  // flush, then close (upstreams close with the client)
     default:
@@ -640,126 +419,91 @@ bool Router::pick_shard(ClientConn& conn, uint64_t session_id,
 
 Router::Upstream* Router::upstream_for(ClientConn& conn, size_t shard) {
   auto it = conn.upstreams.find(shard);
-  if (it != conn.upstreams.end() && it->second.fd.valid() && !it->second.broken) {
+  if (it != conn.upstreams.end() && it->second.link.open() && !it->second.broken) {
     return &it->second;
   }
   conn.upstreams.erase(shard);
 
   Upstream up;
   up.shard = shard;
-  std::string error;
-  bool in_progress = false;
-  up.fd = net::tcp_connect_start(shards_[shard].spec.host,
-                                 shards_[shard].spec.port, &error, &in_progress);
-  if (!up.fd.valid()) return nullptr;
-  up.connecting = in_progress;
-  net::HelloMsg hello;
-  hello.version = net::kProtocolVersion;
-  hello.name = options_.name;
-  std::vector<uint8_t> payload;
-  hello.encode(&payload);
-  queue_message(&up.out, MsgType::kHello, payload);
+  if (!up.link.start_connect(shards_[shard].spec.host, shards_[shard].spec.port,
+                             nullptr)) {
+    return nullptr;
+  }
+  send_hello(up.link, MsgType::kHello);
   auto [pos, inserted] = conn.upstreams.emplace(shard, std::move(up));
   return &pos->second;
 }
 
-void Router::route_render_request(ClientConn& conn, const WireMessage& msg) {
-  net::RenderRequestMsg req;
-  if (!net::RenderRequestMsg::decode(msg.payload, &req)) {
+void Router::route_request(ClientConn& conn, const net::WireView& msg) {
+  // Both request kinds carry an id, a session, a volume and a trace; they
+  // differ only in which proxy table and counters track them.
+  const bool stream = msg.type == MsgType::kStreamRequest;
+  net::RenderRequestMsg render;
+  net::StreamRequestMsg open;
+  const bool ok = stream ? net::StreamRequestMsg::decode(msg.payload, &open)
+                         : net::RenderRequestMsg::decode(msg.payload, &render);
+  if (!ok) {
     metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "bad render request");
+    send_client_error(conn, 0, serve::ServeStatus::kError,
+                      stream ? "bad stream request" : "bad render request");
     return;
   }
+  const uint64_t id = stream ? open.stream_id : render.request_id;
+  const uint64_t session = stream ? open.session_id : render.session_id;
+  const serve::VolumeKey& volume = stream ? open.volume : render.volume;
+  const obs::TraceContext& trace = stream ? open.trace : render.trace;
   size_t shard = 0;
-  if (!pick_shard(conn, req.session_id, req.volume, req.request_id, req.trace,
-                  &shard)) {
-    return;
-  }
+  if (!pick_shard(conn, session, volume, id, trace, &shard)) return;
   Upstream* up = upstream_for(conn, shard);
   if (up == nullptr) {
     metrics_.unavailable_rejections.fetch_add(1);
-    send_client_error(conn, req.request_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[shard].spec.id + " unreachable",
-                      req.trace);
+    send_client_error(conn, id, serve::ServeStatus::kUnavailable,
+                      "shard " + shards_[shard].spec.id + " unreachable", trace);
     return;
   }
-  up->inflight_requests[req.request_id] = ProxyEntry{req.trace, steady_now_ns()};
-  metrics_.requests_routed.fetch_add(1);
-  metrics_.shards[shard]->routed_requests.fetch_add(1);
-  metrics_.shards[shard]->inflight_requests.fetch_add(1);
-  queue_message(&up->out, MsgType::kRenderRequest, msg.payload);
-}
-
-void Router::route_stream_request(ClientConn& conn, const WireMessage& msg) {
-  net::StreamRequestMsg req;
-  if (!net::StreamRequestMsg::decode(msg.payload, &req)) {
-    metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "bad stream request");
-    return;
+  ShardCounters& c = *metrics_.shards[shard];
+  if (stream) {
+    up->active_streams[id] = ProxyEntry{trace, steady_now_ns()};
+    metrics_.streams_routed.fetch_add(1);
+    c.routed_streams.fetch_add(1);
+    c.active_streams.fetch_add(1);
+  } else {
+    up->inflight_requests[id] = ProxyEntry{trace, steady_now_ns()};
+    metrics_.requests_routed.fetch_add(1);
+    c.routed_requests.fetch_add(1);
+    c.inflight_requests.fetch_add(1);
   }
-  size_t shard = 0;
-  if (!pick_shard(conn, req.session_id, req.volume, req.stream_id, req.trace,
-                  &shard)) {
-    return;
-  }
-  Upstream* up = upstream_for(conn, shard);
-  if (up == nullptr) {
-    metrics_.unavailable_rejections.fetch_add(1);
-    send_client_error(conn, req.stream_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[shard].spec.id + " unreachable",
-                      req.trace);
-    return;
-  }
-  up->active_streams[req.stream_id] = ProxyEntry{req.trace, steady_now_ns()};
-  metrics_.streams_routed.fetch_add(1);
-  metrics_.shards[shard]->routed_streams.fetch_add(1);
-  metrics_.shards[shard]->active_streams.fetch_add(1);
-  queue_message(&up->out, MsgType::kStreamRequest, msg.payload);
+  up->link.forward(msg, pool_);
 }
 
 void Router::send_client_error(ClientConn& conn, uint64_t request_id,
                                serve::ServeStatus status,
                                const std::string& message,
                                const obs::TraceContext& trace) {
-  net::ErrorMsg err;
-  err.request_id = request_id;
-  err.status = static_cast<uint16_t>(status);
-  err.message = message;
-  err.trace = trace;  // correlates router-originated errors with the trace
-  send_client_payload(conn, MsgType::kError, err);
+  // The trace correlates router-originated errors with the trace.
+  conn.link.send(
+      MsgType::kError,
+      net::ErrorMsg{request_id, static_cast<uint16_t>(status), message, trace},
+      pool_);
 }
 
 void Router::record_proxy_span(const ProxyEntry& entry, uint64_t tag) {
   if (options_.recorder == nullptr || !entry.trace.sampled()) return;
-  obs::SpanRecord s;
-  s.trace_hi = entry.trace.trace_hi;
-  s.trace_lo = entry.trace.trace_lo;
-  s.span_id = obs::next_span_id();
   // The router forwards the payload verbatim, so the shard's request span
   // parents to the same wire parent — the proxy span sits beside it under
   // the client root, wrapping it in time.
-  s.parent_id = entry.trace.parent_span;
-  s.kind = obs::SpanKind::kRouterProxy;
-  s.t_start_ns = entry.start_ns;
-  s.t_end_ns = steady_now_ns();
-  s.tag = tag;
+  const obs::SpanRecord s{entry.trace.trace_hi, entry.trace.trace_lo,
+                          obs::next_span_id(),  entry.trace.parent_span,
+                          obs::SpanKind::kRouterProxy, entry.start_ns,
+                          steady_now_ns(),      tag};
   options_.recorder->record(entry.trace, s);
 }
 
-template <typename Msg>
-void Router::send_client_payload(ClientConn& conn, MsgType type, const Msg& msg) {
-  std::vector<uint8_t> payload;
-  payload.reserve(msg.encoded_size());
-  msg.encode(&payload);
-  queue_message(&conn.out, type, payload);
-}
-
 void Router::close_client(uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
   // Upstream sockets close with the client; the shard sees EOF and reaps
   // its per-connection state, exactly as with a direct client.
-  conns_.erase(it);
+  if (conns_.erase(conn_id) > 0) metrics_.clients_closed.fetch_add(1);
 }
 
 // --------------------------------------------------------------------------
@@ -767,20 +511,17 @@ void Router::close_client(uint64_t conn_id) {
 // --------------------------------------------------------------------------
 
 void Router::upstream_read(ClientConn& conn, Upstream& up) {
-  if (!read_available(up.fd.get(), &up.in)) {
-    up.broken = true;
-    return;
-  }
-  bool framing_error = false;
-  const bool keep = drain_messages(&up.in, &framing_error, [&](const WireMessage& m) {
-    return handle_upstream_message(conn, up, m);
-  });
-  if (framing_error) metrics_.protocol_errors.fetch_add(1);
-  if (!keep || framing_error) up.broken = true;
+  WireStatus framing = WireStatus::kOk;
+  up.broken = !up.link.read_frames(
+      nullptr,
+      [&](const net::WireView& msg) { return handle_upstream_message(conn, up, msg); },
+      &framing);
+  if (framing != WireStatus::kOk) metrics_.protocol_errors.fetch_add(1);
 }
 
 bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
-                                     const WireMessage& msg) {
+                                     const net::WireView& msg) {
+  ShardCounters& c = *metrics_.shards[up.shard];
   switch (msg.type) {
     case MsgType::kHelloAck:
       return true;  // consumed by the proxy, not forwarded
@@ -795,20 +536,17 @@ bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
       r.read_f64();  // render_ms
       const double total_ms = r.read_f64();
       if (r.ok()) {
-        metrics_.shards[up.shard]->frame_latency_ms.record_ms(total_ms);
-        if (request_id != 0) {
-          const auto rit = up.inflight_requests.find(request_id);
-          if (rit != up.inflight_requests.end()) {
-            record_proxy_span(rit->second, request_id);
-            up.inflight_requests.erase(rit);
-            metrics_.shards[up.shard]->inflight_requests.fetch_sub(1);
-          }
+        c.frame_latency_ms.record_ms(total_ms);
+        const auto rit = up.inflight_requests.find(request_id);
+        if (request_id != 0 && rit != up.inflight_requests.end()) {
+          record_proxy_span(rit->second, request_id);
+          up.inflight_requests.erase(rit);
+          c.inflight_requests.fetch_sub(1);
         }
       }
       metrics_.frames_forwarded.fetch_add(1);
-      metrics_.shards[up.shard]->forwarded_frames.fetch_add(1);
-      queue_message(&conn.out, MsgType::kFrame, msg.payload);
-      return true;
+      c.forwarded_frames.fetch_add(1);
+      break;
     }
     case MsgType::kStreamEnd: {
       net::StreamEndMsg end;
@@ -818,25 +556,23 @@ bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
           // One proxy span covers the whole stream: forwarded -> stream end.
           record_proxy_span(sit->second, end.stream_id);
           up.active_streams.erase(sit);
-          metrics_.shards[up.shard]->active_streams.fetch_sub(1);
+          c.active_streams.fetch_sub(1);
         }
       }
-      queue_message(&conn.out, MsgType::kStreamEnd, msg.payload);
-      return true;
+      break;
     }
     case MsgType::kError: {
       net::ErrorMsg err;
       if (net::ErrorMsg::decode(msg.payload, &err) && err.request_id != 0) {
         if (up.inflight_requests.erase(err.request_id) > 0) {
-          metrics_.shards[up.shard]->inflight_requests.fetch_sub(1);
+          c.inflight_requests.fetch_sub(1);
         }
         if (up.active_streams.erase(err.request_id) > 0) {
-          metrics_.shards[up.shard]->active_streams.fetch_sub(1);
+          c.active_streams.fetch_sub(1);
         }
       }
-      metrics_.shards[up.shard]->forwarded_errors.fetch_add(1);
-      queue_message(&conn.out, MsgType::kError, msg.payload);
-      return true;
+      c.forwarded_errors.fetch_add(1);
+      break;
     }
     case MsgType::kBye:
       return false;  // shard is going away; the loss path takes over
@@ -844,39 +580,36 @@ bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
       metrics_.protocol_errors.fetch_add(1);
       return false;
   }
+  // Forward at once rather than at the end of the poll pass: a burst of
+  // frames then holds one pooled payload at a time, not one per frame.
+  conn.link.forward(msg, pool_);
+  conn.link.flush(nullptr);
+  return true;
 }
 
 void Router::upstream_lost(ClientConn& conn, Upstream& up, const std::string& why) {
   // Every in-flight request and open stream on this upstream dies with a
   // typed, per-id error — the client learns exactly which work was lost
   // and can retry; the session unpins so its next request re-places.
-  for (const auto& [request_id, entry] : up.inflight_requests) {
-    if (entry.trace.sampled()) {
-      std::fprintf(stderr, "[router] shard %s lost request %llu trace=%s: %s\n",
-                   shards_[up.shard].spec.id.c_str(),
-                   static_cast<unsigned long long>(request_id),
-                   obs::trace_id_hex(entry.trace).c_str(), why.c_str());
+  const std::string& id = shards_[up.shard].spec.id;
+  const auto fail_all = [&](std::map<uint64_t, ProxyEntry>& entries,
+                            std::atomic<int64_t>& gauge, const char* what,
+                            const char* lost) {
+    for (const auto& [work_id, entry] : entries) {
+      if (entry.trace.sampled()) {
+        std::fprintf(stderr, "[router] shard %s lost %s %llu trace=%s: %s\n",
+                     id.c_str(), what, static_cast<unsigned long long>(work_id),
+                     obs::trace_id_hex(entry.trace).c_str(), why.c_str());
+      }
+      send_client_error(conn, work_id, serve::ServeStatus::kUnavailable,
+                        "shard " + id + lost + why, entry.trace);
+      gauge.fetch_sub(1);
     }
-    send_client_error(conn, request_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[up.shard].spec.id + " lost: " + why,
-                      entry.trace);
-    metrics_.shards[up.shard]->inflight_requests.fetch_sub(1);
-  }
-  up.inflight_requests.clear();
-  for (const auto& [stream_id, entry] : up.active_streams) {
-    if (entry.trace.sampled()) {
-      std::fprintf(stderr, "[router] shard %s lost stream %llu trace=%s: %s\n",
-                   shards_[up.shard].spec.id.c_str(),
-                   static_cast<unsigned long long>(stream_id),
-                   obs::trace_id_hex(entry.trace).c_str(), why.c_str());
-    }
-    send_client_error(conn, stream_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[up.shard].spec.id +
-                          " lost mid-stream: " + why,
-                      entry.trace);
-    metrics_.shards[up.shard]->active_streams.fetch_sub(1);
-  }
-  up.active_streams.clear();
+    entries.clear();
+  };
+  ShardCounters& c = *metrics_.shards[up.shard];
+  fail_all(up.inflight_requests, c.inflight_requests, "request", " lost: ");
+  fail_all(up.active_streams, c.active_streams, "stream", " lost mid-stream: ");
   for (auto it = conn.session_pins.begin(); it != conn.session_pins.end();) {
     if (it->second == up.shard) {
       conn.lost_pins.insert(it->first);
@@ -896,68 +629,56 @@ size_t Router::shard_index(const Shard& s) const {
 }
 
 void Router::advance_shard(Shard& s, Clock::time_point now) {
-  if (!s.ctl.valid()) {
+  if (!s.ctl.open()) {
     if (now < s.next_reconnect || stopping_.load()) return;
-    std::string error;
-    bool in_progress = false;
-    s.ctl = net::tcp_connect_start(s.spec.host, s.spec.port, &error, &in_progress);
-    s.in.clear();
-    s.out.clear();
-    s.out_off = 0;
     s.hello_done = false;
     s.probe_outstanding = false;
-    if (!s.ctl.valid()) {
+    if (!s.ctl.start_connect(s.spec.host, s.spec.port, nullptr)) {
       ctl_failure(s, "connect failed");
       return;
     }
-    s.connecting = in_progress;
-    if (!s.connecting) {
-      net::HelloMsg hello;
-      hello.version = net::kProtocolVersion;
-      hello.name = options_.name;
-      std::vector<uint8_t> payload;
-      hello.encode(&payload);
-      queue_message(&s.out, MsgType::kHello, payload);
-    }
+    send_hello(s.ctl, MsgType::kHello);  // the first probe follows the ack
     return;
   }
-  if (s.connecting || !s.hello_done) return;
+  if (s.ctl.connecting() || !s.hello_done) return;
   if (s.probe_outstanding) {
-    if (ms_since(s.probe_sent, now) > options_.probe_timeout_ms) {
+    if (now - s.probe_sent >
+        std::chrono::duration<double, std::milli>(options_.probe_timeout_ms)) {
       ctl_failure(s, "probe timeout");
     }
     return;
   }
-  if (now >= s.next_probe) {
-    queue_message(&s.out, MsgType::kMetricsRequest, {});
-    s.probe_outstanding = true;
-    s.probe_sent = now;
-  }
+  if (now >= s.next_probe) send_probe(s, now);
+}
+
+void Router::send_probe(Shard& s, Clock::time_point now) {
+  s.ctl.send(MsgType::kMetricsRequest, PooledBuffer());
+  s.probe_outstanding = true;
+  s.probe_sent = now;
 }
 
 void Router::shard_ctl_read(Shard& s) {
-  if (!read_available(s.ctl.get(), &s.in)) {
-    ctl_failure(s, "control connection closed");
-    return;
+  WireStatus framing = WireStatus::kOk;
+  bool refused = false;
+  const auto handle = [&](const net::WireView& msg) {
+    refused = !handle_ctl_message(s, msg);
+    return !refused;
+  };
+  if (!s.ctl.read_frames(nullptr, handle, &framing)) {
+    ctl_failure(s, framing == WireStatus::kOk && !refused
+                       ? "control connection closed"
+                       : "control protocol error");
   }
-  bool framing_error = false;
-  const bool keep = drain_messages(&s.in, &framing_error, [&](const WireMessage& m) {
-    return handle_ctl_message(s, m);
-  });
-  if (framing_error || !keep) ctl_failure(s, "control protocol error");
 }
 
-bool Router::handle_ctl_message(Shard& s, const WireMessage& msg) {
+bool Router::handle_ctl_message(Shard& s, const net::WireView& msg) {
   switch (msg.type) {
-    case MsgType::kHelloAck: {
+    case MsgType::kHelloAck:
       s.hello_done = true;
       // Probe immediately: health (and the first metrics snapshot) should
       // not wait out a full probe interval.
-      queue_message(&s.out, MsgType::kMetricsRequest, {});
-      s.probe_outstanding = true;
-      s.probe_sent = Clock::now();
+      send_probe(s, Clock::now());
       return true;
-    }
     case MsgType::kMetricsReply: {
       net::MetricsReplyMsg reply;
       if (!net::MetricsReplyMsg::decode(msg.payload, &reply)) return false;
@@ -975,29 +696,26 @@ bool Router::handle_ctl_message(Shard& s, const WireMessage& msg) {
       if (!s.healthy) mark_healthy(s);
       return true;
     }
-    case MsgType::kError:
-      // A typed error on the control channel (e.g. version rejection)
-      // means this shard cannot serve us.
-      return false;
+    case MsgType::kError:  // e.g. a version rejection: this shard cannot serve us
     default:
       return false;
   }
+}
+
+void Router::disconnect_ctl(Shard& s) {
+  s.ctl.reset();
+  s.hello_done = false;
+  s.probe_outstanding = false;
+  s.next_reconnect = Clock::now() + std::chrono::milliseconds(
+                                        static_cast<int64_t>(s.backoff_ms));
+  s.backoff_ms = std::min(s.backoff_ms * 2.0, options_.reconnect_backoff_max_ms);
 }
 
 void Router::ctl_failure(Shard& s, const std::string& why) {
   const size_t idx = shard_index(s);
   metrics_.shards[idx]->probe_failures.fetch_add(1);
   ++s.consecutive_failures;
-  s.probe_outstanding = false;
-  s.ctl.reset();
-  s.connecting = false;
-  s.hello_done = false;
-  s.in.clear();
-  s.out.clear();
-  s.out_off = 0;
-  s.next_reconnect = Clock::now() + std::chrono::milliseconds(
-                                        static_cast<int64_t>(s.backoff_ms));
-  s.backoff_ms = std::min(s.backoff_ms * 2.0, options_.reconnect_backoff_max_ms);
+  disconnect_ctl(s);
   if (s.healthy && s.consecutive_failures >= options_.eject_after_failures) {
     eject_shard(idx, why);
   } else {
@@ -1009,16 +727,7 @@ void Router::eject_shard(size_t shard, const std::string& why) {
   Shard& s = shards_[shard];
   if (s.healthy) {
     s.healthy = false;
-    s.probe_outstanding = false;
-    s.ctl.reset();
-    s.connecting = false;
-    s.hello_done = false;
-    s.in.clear();
-    s.out.clear();
-    s.out_off = 0;
-    s.next_reconnect = Clock::now() +
-                       std::chrono::milliseconds(static_cast<int64_t>(s.backoff_ms));
-    s.backoff_ms = std::min(s.backoff_ms * 2.0, options_.reconnect_backoff_max_ms);
+    disconnect_ctl(s);
     metrics_.shards[shard]->ejections.fetch_add(1);
     rebuild_ring();
     publish_state(shard);
@@ -1069,34 +778,8 @@ void Router::publish_state(size_t shard) {
   published_state_[shard].store(static_cast<int>(state), std::memory_order_relaxed);
 }
 
-// --------------------------------------------------------------------------
-// Shared plumbing
-// --------------------------------------------------------------------------
-
-void Router::queue_message(std::vector<uint8_t>* out, MsgType type,
-                           const std::vector<uint8_t>& payload) {
-  net::encode_message(type, payload, out);
-}
-
-bool Router::flush_out(int fd, std::vector<uint8_t>* out, size_t* out_off) {
-  while (*out_off < out->size()) {
-    const ssize_t n = ::send(fd, out->data() + *out_off, out->size() - *out_off,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      *out_off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) break;
-    return false;
-  }
-  if (*out_off == out->size()) {
-    out->clear();
-    *out_off = 0;
-  } else if (*out_off > kCompactThreshold) {
-    out->erase(out->begin(), out->begin() + static_cast<long>(*out_off));
-    *out_off = 0;
-  }
-  return true;
+void Router::send_hello(net::Transport& link, MsgType type) {
+  link.send(type, net::HelloMsg{net::kProtocolVersion, options_.name}, pool_);
 }
 
 }  // namespace psw::cluster

@@ -42,10 +42,11 @@
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/metrics.hpp"
-#include "net/socket.hpp"
+#include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/sync.hpp"
 
 namespace psw::cluster {
@@ -97,8 +98,9 @@ class Router {
 
   bool running() const { return thread_.joinable(); }
   uint16_t port() const { return port_; }
-  const RouterOptions& options() const { return options_; }
   const RouterMetrics& metrics() const { return metrics_; }
+  // The pool behind every queued payload, on all three faces.
+  PoolStats pool_stats() const { return pool_.stats(); }
 
   // Blocks until at least `n` shards are healthy (probed OK) or timeout.
   bool wait_healthy(size_t n, double timeout_ms) const;
@@ -138,25 +140,17 @@ class Router {
   // One proxied upstream connection: the shard-side half of one client.
   struct Upstream {
     size_t shard = 0;
-    net::UniqueFd fd;
-    bool connecting = false;  // non-blocking connect still in progress
+    net::Transport link;  // queues the hello while the connect is pending
     bool broken = false;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;   // includes the leading hello
-    size_t out_off = 0;
     std::map<uint64_t, ProxyEntry> inflight_requests;  // by request id
     std::map<uint64_t, ProxyEntry> active_streams;     // by stream id
   };
 
   struct ClientConn {
     uint64_t id = 0;
-    net::UniqueFd fd;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;
-    size_t out_off = 0;
+    net::Transport link;
     bool got_hello = false;
-    bool closing = false;  // flush `out`, then close
-    serve::Clock::time_point last_activity;
+    bool closing = false;  // flush queued output, then close
     std::map<size_t, Upstream> upstreams;       // by shard index
     std::map<uint64_t, size_t> session_pins;    // session -> shard index
     // Sessions whose pinned shard was lost; the next request re-places and
@@ -167,12 +161,8 @@ class Router {
   // Control/probe channel state per shard (poll thread only).
   struct Shard {
     ShardSpec spec;
-    net::UniqueFd ctl;
-    bool connecting = false;
+    net::Transport ctl;
     bool hello_done = false;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;
-    size_t out_off = 0;
     bool probe_outstanding = false;
     serve::Clock::time_point probe_sent{};
     serve::Clock::time_point next_probe{};
@@ -184,13 +174,12 @@ class Router {
   };
 
   void poll_loop();
-  void accept_ready();
 
   // --- client face ---
   void client_read(ClientConn& conn);
-  bool handle_client_message(ClientConn& conn, const net::WireMessage& msg);
-  void route_render_request(ClientConn& conn, const net::WireMessage& msg);
-  void route_stream_request(ClientConn& conn, const net::WireMessage& msg);
+  bool handle_client_message(ClientConn& conn, const net::WireView& msg);
+  // Places a render or stream request and forwards it verbatim upstream.
+  void route_request(ClientConn& conn, const net::WireView& msg);
   // Ring placement + affinity. Returns false (typed error already sent)
   // when no shard is eligible.
   bool pick_shard(ClientConn& conn, uint64_t session_id,
@@ -201,15 +190,13 @@ class Router {
                          const obs::TraceContext& trace = {});
   // Closes a kRouterProxy span (forwarded -> reply) for a sampled entry.
   void record_proxy_span(const ProxyEntry& entry, uint64_t tag);
-  template <typename Msg>
-  void send_client_payload(ClientConn& conn, net::MsgType type, const Msg& msg);
   void close_client(uint64_t conn_id);
 
   // --- upstream face ---
   Upstream* upstream_for(ClientConn& conn, size_t shard);
   void upstream_read(ClientConn& conn, Upstream& up);
   bool handle_upstream_message(ClientConn& conn, Upstream& up,
-                               const net::WireMessage& msg);
+                               const net::WireView& msg);
   // Typed kUnavailable for everything in flight on a lost upstream, then
   // unpins its sessions. Ejects the shard (data-path loss is a failure).
   void upstream_lost(ClientConn& conn, Upstream& up, const std::string& why);
@@ -217,7 +204,10 @@ class Router {
   // --- shard lifecycle ---
   void advance_shard(Shard& s, serve::Clock::time_point now);
   void shard_ctl_read(Shard& s);
-  bool handle_ctl_message(Shard& s, const net::WireMessage& msg);
+  bool handle_ctl_message(Shard& s, const net::WireView& msg);
+  void send_probe(Shard& s, serve::Clock::time_point now);
+  // Closes the control channel and schedules the reconnect with backoff.
+  void disconnect_ctl(Shard& s);
   void ctl_failure(Shard& s, const std::string& why);
   void eject_shard(size_t shard, const std::string& why);
   void mark_healthy(Shard& s);
@@ -225,22 +215,17 @@ class Router {
   void publish_state(size_t shard);
   size_t shard_index(const Shard& s) const;
 
-  // --- shared plumbing ---
-  // Appends one framed message to a flat output buffer.
-  static void queue_message(std::vector<uint8_t>* out, net::MsgType type,
-                            const std::vector<uint8_t>& payload);
-  // Drains [out_off, out) into fd. False on a hard write error.
-  static bool flush_out(int fd, std::vector<uint8_t>* out, size_t* out_off);
-  void wake();
+  // Queues a kHello (or, answering one, a kHelloAck) naming this router.
+  void send_hello(net::Transport& link, net::MsgType type);
 
   std::vector<ShardSpec> specs_;
   RouterOptions options_;
   RouterMetrics metrics_;
   HashRing ring_;
+  BufferPool pool_;
 
   net::UniqueFd listener_;
-  net::UniqueFd wake_rd_;
-  net::UniqueFd wake_wr_;
+  net::WakePipe wake_;
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
 

@@ -1,7 +1,5 @@
 #include "net/client.hpp"
 
-#include <sys/socket.h>
-
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -11,13 +9,18 @@ namespace psw::net {
 
 namespace {
 
-constexpr size_t kReadChunk = 64 * 1024;
-
 void set_error(std::string* error, std::string what) {
   if (error) *error = std::move(what);
 }
 
 }  // namespace
+
+template <typename Msg>
+bool NetClient::send_msg(MsgType type, const Msg& msg, std::string* error) {
+  PooledBuffer payload = pool_.acquire(msg.encoded_size());
+  msg.encode(&payload.vec());
+  return send_msg(type, std::move(payload), error);
+}
 
 bool NetClient::connect(const std::string& host, uint16_t port, std::string* error) {
   close();
@@ -27,9 +30,12 @@ bool NetClient::connect(const std::string& host, uint16_t port, std::string* err
   for (int attempt = 0;; ++attempt) {
     ++connect_attempts_;
     int connect_errno = 0;
-    fd_ = tcp_connect_errno(host, port, error, &connect_errno,
-                            options_.recv_buffer_bytes);
-    if (fd_.valid()) break;
+    UniqueFd fd =
+        tcp_connect(host, port, error, options_.recv_buffer_bytes, &connect_errno);
+    if (fd.valid()) {
+      link_ = Transport(std::move(fd));
+      break;
+    }
     if (!retryable_connect_errno(connect_errno)) return false;
     if (attempt >= options_.connect_retries) {
       connect_status_ = ConnectStatus::kUnavailable;
@@ -43,17 +49,13 @@ bool NetClient::connect(const std::string& host, uint16_t port, std::string* err
     backoff_ms *= 2;
   }
   if (options_.recv_timeout_ms > 0) {
-    set_recv_timeout_ms(fd_.get(), options_.recv_timeout_ms);
+    set_recv_timeout_ms(link_.fd(), options_.recv_timeout_ms);
   }
 
-  HelloMsg hello;
-  hello.version = kProtocolVersion;
-  hello.name = "pswvr-netclient";
-  std::vector<uint8_t> payload;
-  hello.encode(&payload);
-  if (!send_msg(MsgType::kHello, payload, error)) return false;
+  const HelloMsg hello{kProtocolVersion, "pswvr-netclient"};
+  if (!send_msg(MsgType::kHello, hello, error)) return false;
 
-  WireMessage msg;
+  WireView msg;
   if (!recv_msg(&msg, error)) return false;
   HelloMsg ack;
   if (msg.type != MsgType::kHelloAck || !HelloMsg::decode(msg.payload, &ack)) {
@@ -67,9 +69,7 @@ bool NetClient::connect(const std::string& host, uint16_t port, std::string* err
 }
 
 void NetClient::close() {
-  fd_.reset();
-  in_.clear();
-  in_off_ = 0;
+  link_.reset();
   server_name_.clear();
   stream_decoders_.clear();
   session_decoders_.clear();
@@ -78,9 +78,7 @@ void NetClient::close() {
 
 bool NetClient::render(const RenderRequestMsg& request, ImageU8* image,
                        FrameMsg* meta, std::string* error) {
-  std::vector<uint8_t> payload;
-  request.encode(&payload);
-  if (!send_msg(MsgType::kRenderRequest, payload, error)) return false;
+  if (!send_msg(MsgType::kRenderRequest, request, error)) return false;
   request_sessions_[request.request_id] = request.session_id;
 
   for (;;) {
@@ -108,23 +106,21 @@ bool NetClient::render(const RenderRequestMsg& request, ImageU8* image,
 }
 
 bool NetClient::open_stream(const StreamRequestMsg& request, std::string* error) {
-  std::vector<uint8_t> payload;
-  request.encode(&payload);
-  if (!send_msg(MsgType::kStreamRequest, payload, error)) return false;
+  if (!send_msg(MsgType::kStreamRequest, request, error)) return false;
   stream_decoders_[request.stream_id].reset();
   return true;
 }
 
 bool NetClient::next_event(Event* out, std::string* error) {
-  WireMessage msg;
+  WireView msg;
   if (!recv_msg(&msg, error)) return false;
   return decode_event(msg, out, error);
 }
 
-bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* error) {
+bool NetClient::decode_event(const WireView& msg, Event* out, std::string* error) {
   switch (msg.type) {
     case MsgType::kFrame: {
-      FrameMsg frame;
+      FrameMsg& frame = out->frame;
       if (!FrameMsg::decode(msg.payload, &frame)) {
         set_error(error, "malformed frame message");
         return false;
@@ -137,36 +133,29 @@ bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* er
                                       : 0];
       out->kind = Event::Kind::kFrame;
       const CodecStatus status =
-          decoder.decode(frame.encoded.data(), frame.encoded.size(), &out->image);
+          decoder.decode(frame.encoded, &out->image);
       if (status != CodecStatus::kOk) {
         set_error(error, std::string("frame decode failed: ") + to_string(status));
         return false;
       }
       frame.encoded.clear();
-      out->frame = std::move(frame);
       return true;
     }
-    case MsgType::kStreamEnd: {
-      StreamEndMsg end;
-      if (!StreamEndMsg::decode(msg.payload, &end)) {
+    case MsgType::kStreamEnd:
+      if (!StreamEndMsg::decode(msg.payload, &out->end)) {
         set_error(error, "malformed stream-end message");
         return false;
       }
-      stream_decoders_.erase(end.stream_id);
+      stream_decoders_.erase(out->end.stream_id);
       out->kind = Event::Kind::kStreamEnd;
-      out->end = end;
       return true;
-    }
-    case MsgType::kError: {
-      ErrorMsg err;
-      if (!ErrorMsg::decode(msg.payload, &err)) {
+    case MsgType::kError:
+      if (!ErrorMsg::decode(msg.payload, &out->error)) {
         set_error(error, "malformed error message");
         return false;
       }
       out->kind = Event::Kind::kError;
-      out->error = std::move(err);
       return true;
-    }
     default:
       set_error(error, std::string("unexpected message: ") + to_string(msg.type));
       return false;
@@ -175,15 +164,15 @@ bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* er
 
 bool NetClient::fetch_metrics(std::string* json, std::string* error,
                               uint8_t selector) {
-  std::vector<uint8_t> payload;
+  PooledBuffer payload = pool_.acquire(1);
   // The JSON default stays an empty payload so pre-selector servers (and
   // the router's probe contract) see unchanged bytes.
-  if (selector != kMetricsSelectorJson) payload.push_back(selector);
-  if (!send_msg(MsgType::kMetricsRequest, payload, error)) return false;
+  if (selector != kMetricsSelectorJson) payload.vec().push_back(selector);
+  if (!send_msg(MsgType::kMetricsRequest, std::move(payload), error)) return false;
   // Frames from concurrent streams may be interleaved ahead of the reply;
   // skip them (their decoders still see every frame, keeping deltas valid).
   for (;;) {
-    WireMessage msg;
+    WireView msg;
     if (!recv_msg(&msg, error)) return false;
     if (msg.type == MsgType::kMetricsReply) {
       MetricsReplyMsg reply;
@@ -200,72 +189,44 @@ bool NetClient::fetch_metrics(std::string* json, std::string* error,
 }
 
 bool NetClient::send_bye(std::string* error) {
-  return send_msg(MsgType::kBye, {}, error);
+  return send_msg(MsgType::kBye, PooledBuffer(), error);
 }
 
-bool NetClient::send_msg(MsgType type, const std::vector<uint8_t>& payload,
-                         std::string* error) {
-  if (!fd_.valid()) {
+bool NetClient::send_msg(MsgType type, PooledBuffer&& payload, std::string* error) {
+  if (!link_.open()) {
     set_error(error, "not connected");
     return false;
   }
-  std::vector<uint8_t> wire;
-  encode_message(type, payload, &wire);
-  size_t off = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd_.get(), wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+  link_.send(type, std::move(payload));
+  if (link_.flush(&bytes_sent_) != IoStatus::kOk) {
     set_error(error, std::string("send: ") + std::strerror(errno));
     close();
     return false;
   }
-  bytes_sent_ += wire.size();
   return true;
 }
 
-bool NetClient::recv_msg(WireMessage* msg, std::string* error) {
-  if (!fd_.valid()) {
+bool NetClient::recv_msg(WireView* msg, std::string* error) {
+  if (!link_.open()) {
     set_error(error, "not connected");
     return false;
   }
   for (;;) {
-    size_t consumed = 0;
-    const WireStatus status = decode_message(in_.data() + in_off_,
-                                             in_.size() - in_off_, msg, &consumed);
-    if (status == WireStatus::kOk) {
-      in_off_ += consumed;
-      // Compact once the parsed prefix dominates the buffer.
-      if (in_off_ > 0 && in_off_ * 2 >= in_.size()) {
-        in_.erase(in_.begin(), in_.begin() + in_off_);
-        in_off_ = 0;
-      }
-      return true;
-    }
+    const WireStatus status = link_.next(msg);
+    if (status == WireStatus::kOk) return true;
     if (status != WireStatus::kNeedMore) {
       set_error(error, std::string("wire error: ") + to_string(status));
       close();
       return false;
     }
-    uint8_t buf[kReadChunk];
-    const ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      in_.insert(in_.end(), buf, buf + n);
-      bytes_received_ += static_cast<uint64_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    const IoStatus io = link_.receive(&bytes_received_);
+    if (io == IoStatus::kOk) continue;
+    if (io == IoStatus::kWouldBlock) {
       set_error(error, "receive timeout");
-      close();
-      return false;
+    } else {
+      set_error(error, errno == 0 ? "connection closed by server"
+                                  : std::string("recv: ") + std::strerror(errno));
     }
-    set_error(error, n == 0 ? "connection closed by server"
-                            : std::string("recv: ") + std::strerror(errno));
     close();
     return false;
   }

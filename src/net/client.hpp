@@ -17,8 +17,9 @@
 #include <vector>
 
 #include "net/frame_codec.hpp"
-#include "net/socket.hpp"
+#include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/image.hpp"
 
 namespace psw::net {
@@ -69,7 +70,7 @@ class NetClient {
   // Connect attempts made by the last connect() call (1 = first try).
   int connect_attempts() const { return connect_attempts_; }
   void close();
-  bool connected() const { return fd_.valid(); }
+  bool connected() const { return link_.open(); }
 
   // Synchronous one-shot render: sends the request and reads until the
   // matching frame (or error reply) arrives. Frames for other requests
@@ -96,17 +97,19 @@ class NetClient {
   const std::string& server_name() const { return server_name_; }
 
  private:
-  bool send_msg(MsgType type, const std::vector<uint8_t>& payload,
-                std::string* error);
-  bool recv_msg(WireMessage* msg, std::string* error);
-  bool decode_event(const WireMessage& msg, Event* out, std::string* error);
+  // Queues `payload` and blocks until it is fully written.
+  bool send_msg(MsgType type, PooledBuffer&& payload, std::string* error);
+  template <typename Msg>
+  bool send_msg(MsgType type, const Msg& msg, std::string* error);
+  // Blocks for the next whole message; the view is valid until the next call.
+  bool recv_msg(WireView* msg, std::string* error);
+  bool decode_event(const WireView& msg, Event* out, std::string* error);
 
   NetClientOptions options_;
   ConnectStatus connect_status_ = ConnectStatus::kOk;
   int connect_attempts_ = 0;
-  UniqueFd fd_;
-  std::vector<uint8_t> in_;
-  size_t in_off_ = 0;
+  BufferPool pool_;
+  Transport link_;  // a blocking socket: receive() waits, flush() drains
   std::string server_name_;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;

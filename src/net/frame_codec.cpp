@@ -165,9 +165,9 @@ void FrameEncoder::encode_append(const ImageU8& frame, std::vector<uint8_t>* out
   has_prev_ = true;
 }
 
-CodecStatus FrameDecoder::decode(const uint8_t* blob, size_t size, ImageU8* out) {
+CodecStatus FrameDecoder::decode(ByteView blob, ImageU8* out) {
   out->resize(0, 0);
-  ByteReader r(blob, size);
+  ByteReader r(blob);
   const int w = r.read_u16();
   const int h = r.read_u16();
   const uint8_t codec = r.read_u8();
@@ -218,18 +218,14 @@ CodecStatus FrameDecoder::decode(const uint8_t* blob, size_t size, ImageU8* out)
   return CodecStatus::kOk;
 }
 
-CodecStatus FrameDecoder::decode(const std::vector<uint8_t>& blob, ImageU8* out) {
-  return decode(blob.data(), blob.size(), out);
-}
-
 void encode_frame(const ImageU8& frame, std::vector<uint8_t>* out) {
   FrameEncoder once;
   once.encode(frame, out);
 }
 
-CodecStatus decode_frame(const uint8_t* blob, size_t size, ImageU8* out) {
+CodecStatus decode_frame(ByteView blob, ImageU8* out) {
   FrameDecoder once;
-  return once.decode(blob, size, out);
+  return once.decode(blob, out);
 }
 
 }  // namespace psw::net

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/wire.hpp"
 #include "util/image.hpp"
 
 namespace psw::net {
@@ -90,8 +91,7 @@ class FrameDecoder {
   // Decodes one blob into *out. On any error *out is left empty and the
   // previous-frame state is unchanged (a corrupt frame must not poison the
   // delta chain).
-  CodecStatus decode(const uint8_t* blob, size_t size, ImageU8* out);
-  CodecStatus decode(const std::vector<uint8_t>& blob, ImageU8* out);
+  CodecStatus decode(ByteView blob, ImageU8* out);
 
   void reset() { has_prev_ = false; }
 
@@ -103,6 +103,6 @@ class FrameDecoder {
 // One-shot helpers (no delta chain): encode with RLE-or-raw, decode a blob
 // that must not use the delta codec.
 void encode_frame(const ImageU8& frame, std::vector<uint8_t>* out);
-CodecStatus decode_frame(const uint8_t* blob, size_t size, ImageU8* out);
+CodecStatus decode_frame(ByteView blob, ImageU8* out);
 
 }  // namespace psw::net

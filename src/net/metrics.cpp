@@ -34,10 +34,4 @@ void NetMetrics::write_json(JsonWriter& w) const {
   w.end_object();
 }
 
-std::string NetMetrics::to_json() const {
-  JsonWriter w;
-  write_json(w);
-  return w.str();
-}
-
 }  // namespace psw::net

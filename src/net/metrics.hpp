@@ -70,7 +70,6 @@ struct NetMetrics {
 
   // Writes one JSON object at the writer's current value slot.
   void write_json(JsonWriter& w) const;
-  std::string to_json() const;
 };
 
 }  // namespace psw::net

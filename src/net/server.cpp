@@ -1,12 +1,6 @@
 #include "net/server.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 
 #include "obs/export.hpp"
 #include "util/json.hpp"
@@ -18,72 +12,47 @@ namespace psw::net {
 namespace {
 
 constexpr double kDeg = 3.14159265358979323846 / 180.0;
-constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxStreamsPerConnection = 16;
-// iovec slots per sendmsg call: 32 queued messages per syscall is plenty —
-// a deeper backlog just means the next loop iteration sends more.
-constexpr int kMaxIov = 64;
 // Codec blob header bytes (u16 w, u16 h, u8 codec, u8 reserved); the raw
 // fallback bounds the blob at this plus width*height*4.
 constexpr size_t kCodecHeader = 6;
-
-double ms_since(serve::Clock::time_point t) {
-  return std::chrono::duration<double, std::milli>(serve::Clock::now() - t).count();
-}
 
 }  // namespace
 
 // Callbacks capture this by shared_ptr: a completion firing after stop()
 // (or after ~NetServer) lands in a closed queue, never in freed memory.
 struct NetServer::CompletionQueue {
-  // Lock protocol: one mutex covers the handoff triple — the item deque,
-  // the closed flag (checked before every push, so items never land after
-  // close), and the wake_fd the pushers signal. Publishing or retiring the
-  // pipe's write end under the same mutex is what makes the fd handoff in
-  // NetServer::start()/stop() safe against concurrent pushers.
-  Mutex mutex;
-  std::deque<CompletionItem> items PSW_GUARDED_BY(mutex);
-  bool closed PSW_GUARDED_BY(mutex) = false;
-  int wake_fd PSW_GUARDED_BY(mutex) = -1;  // write end of the self-pipe
+  explicit CompletionQueue(serve::RenderService& s) : service(s) {}
 
-  ~CompletionQueue() { retire_wake_fd(); }
+  // Lock protocol: one mutex covers the items and the closed flag (checked
+  // before every push, so items never land after close). The queue owns
+  // the wake pipe that signals the poll thread, so a late pusher always
+  // writes to a pipe whose read end is still open.
+  serve::RenderService& service;  // runs every callback, so outlives them
+  Mutex mutex;
+  std::vector<CompletionItem> items PSW_GUARDED_BY(mutex);
+  bool closed PSW_GUARDED_BY(mutex) = false;
+  WakePipe pipe;
+
+  // Hands a frame nobody will deliver back to the service's frame pool.
+  void drop(CompletionItem& item) {
+    if (!item.result.image.empty()) {
+      service.recycle_frame(std::move(item.result.image));
+    }
+  }
 
   void push(CompletionItem&& item) {
     MutexLock lock(mutex);
-    if (closed) return;
+    if (closed) return drop(item);
     items.push_back(std::move(item));
-    wake_locked();
-  }
-
-  void wake() {
-    MutexLock lock(mutex);
-    wake_locked();
-  }
-
-  void wake_locked() PSW_REQUIRES(mutex) {
-    if (wake_fd < 0) return;
-    const uint8_t byte = 1;
-    // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-  }
-
-  void set_wake_fd(int fd) {
-    MutexLock lock(mutex);
-    wake_fd = fd;
+    WakePipe::wake(pipe.wr.get());
   }
 
   void close_and_clear() {
     MutexLock lock(mutex);
     closed = true;
+    for (CompletionItem& item : items) drop(item);
     items.clear();
-  }
-
-  // Called once the poll thread is joined: the read end is about to go
-  // away, so writing to the pipe after this would raise SIGPIPE.
-  void retire_wake_fd() {
-    MutexLock lock(mutex);
-    if (wake_fd >= 0) ::close(wake_fd);
-    wake_fd = -1;
   }
 };
 
@@ -93,7 +62,7 @@ NetServer::NetServer(serve::RenderService& service, NetServerOptions options)
       pool_(BufferPool::Options{options.pool_buffers_per_class,
                                 options.pool_retained_bytes,
                                 options.pool_poison}),
-      queue_(std::make_shared<CompletionQueue>()) {
+      queue_(std::make_shared<CompletionQueue>(service)) {
   options_.stream_window = std::max(1, options_.stream_window);
   options_.max_pending_frames = std::max<size_t>(1, options_.max_pending_frames);
 }
@@ -109,22 +78,16 @@ bool NetServer::start(std::string* error) {
   if (!listener_.valid()) return false;
   port_ = local_port(listener_.get());
   set_nonblocking(listener_.get(), true);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    if (error) *error = std::string("pipe: ") + std::strerror(errno);
-    listener_.reset();
-    return false;
-  }
-  set_nonblocking(pipe_fds[0], true);
-  set_nonblocking(pipe_fds[1], true);
-  wake_rd_.reset(pipe_fds[0]);
   // A restart after stop() needs a live queue: the old one was closed for
   // good in stop() (completion callbacks from the previous run may still
   // hold references to it, and must keep landing in a *closed* queue), so
   // each start gets a fresh queue rather than reopening the retired one.
-  queue_ = std::make_shared<CompletionQueue>();
-  queue_->set_wake_fd(pipe_fds[1]);
+  auto queue = std::make_shared<CompletionQueue>(service_);
+  if (!queue->pipe.open(error)) {
+    listener_.reset();
+    return false;
+  }
+  queue_ = std::move(queue);
 
   stopping_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { poll_loop(); });
@@ -134,12 +97,9 @@ bool NetServer::start(std::string* error) {
 void NetServer::stop() {
   queue_->close_and_clear();
   stopping_.store(true, std::memory_order_release);
-  queue_->wake();
+  WakePipe::wake(queue_->pipe.wr.get());
   if (thread_.joinable()) thread_.join();
-  queue_->retire_wake_fd();  // before the read end closes below
-  conns_.clear();
   listener_.reset();
-  wake_rd_.reset();
 }
 
 std::string NetServer::prometheus_text() const {
@@ -208,240 +168,120 @@ std::string NetServer::prometheus_text() const {
   p.counter("psw_net_frame_copy_bytes_total",
             "Post-encode bytes copied (0 on the zero-copy path)",
             metrics_.frame_copy_bytes.load());
-  if (options_.recorder != nullptr) {
-    p.counter("psw_trace_spans_recorded_total", "Spans recorded",
-              options_.recorder->recorded());
-    p.counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
-              options_.recorder->overwritten());
-  }
+  p.recorder_counters(options_.recorder);
   return p.str();
 }
 
 std::string NetServer::trace_dump_json() const {
-  if (options_.recorder != nullptr) {
-    return options_.recorder->dump_json(options_.trace_node);
-  }
-  // Recorder-less servers answer with an empty but well-formed dump so
-  // tools can aggregate without special-casing.
+  return obs::trace_dump_json(options_.recorder, options_.trace_node);
+}
+
+std::string NetServer::metrics_json() const {
   JsonWriter w;
   w.begin_object();
-  w.field("node", options_.trace_node);
-  w.field("anchor_unix_ns", static_cast<uint64_t>(clock_anchor().wall_ns));
-  w.field("recorded", static_cast<uint64_t>(0));
-  w.field("overwritten", static_cast<uint64_t>(0));
-  w.key("spans");
-  w.begin_array();
-  w.end_array();
-  w.key("slow");
-  w.begin_array();
-  w.end_array();
+  w.key("service").raw(service_.metrics_json());
+  w.key("net");
+  metrics_.write_json(w);
+  w.key("net_pool");
+  serve::write_pool_json(w, pool_.stats());
   w.end_object();
   return w.str();
 }
 
-std::string NetServer::metrics_json() const {
-  std::string out = "{\n\"service\": ";
-  out += service_.metrics_json();
-  out += ",\n\"net\": ";
-  out += metrics_.to_json();
-  out += ",\n\"net_pool\": ";
-  JsonWriter w;
-  serve::write_pool_json(w, pool_.stats());
-  out += w.str();
-  out += "\n}";
-  return out;
-}
-
 void NetServer::poll_loop() {
-  std::vector<pollfd> fds;
-  std::vector<uint64_t> ids;
+  PollSet poll;
   while (!stopping_.load(std::memory_order_acquire)) {
-    fds.clear();
-    ids.clear();
-    fds.push_back({listener_.get(), POLLIN, 0});
-    fds.push_back({wake_rd_.get(), POLLIN, 0});
-    for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (!conn.sendq.empty()) events |= POLLOUT;
-      fds.push_back({conn.fd.get(), events, 0});
-      ids.push_back(id);
-    }
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+    poll.clear();
+    poll.add(listener_.get(), POLLIN);
+    poll.add(queue_->pipe.rd.get(), POLLIN);
+    for (auto& [id, conn] : conns_) poll.add(conn.link.fd(), conn.link.poll_events());
+    poll.wait(50);
     if (stopping_.load(std::memory_order_acquire)) break;
 
-    if (fds[1].revents & POLLIN) {
-      uint8_t sink[64];
-      while (::read(wake_rd_.get(), sink, sizeof(sink)) > 0) {
-      }
-    }
+    if (poll.revents(1) & POLLIN) queue_->pipe.drain();
     drain_completions();
-    if (fds[0].revents & POLLIN) accept_ready();
-
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const auto it = conns_.find(ids[i]);
-      if (it == conns_.end()) continue;
-      Connection& conn = it->second;
-      const short revents = fds[i + 2].revents;
+    // Slots follow conns_ order: nothing below adds or removes a
+    // connection before the accept that ends this pass's reads.
+    size_t slot = 2;
+    for (auto& [id, conn] : conns_) {
+      const short revents = poll.revents(slot++);
       if (revents & (POLLERR | POLLNVAL)) {
         conn.closing = true;
-        discard_outbound(conn);
-        continue;
+        conn.link.discard_output();
+      } else if (revents & (POLLIN | POLLHUP)) {
+        read_ready(conn);
       }
-      if (revents & (POLLIN | POLLHUP)) read_ready(conn);
+    }
+    if (poll.revents(0) & POLLIN) {
+      accept_pending(listener_.get(), conns_.size(),
+                     static_cast<size_t>(options_.max_connections),
+                     &metrics_.connections_rejected, [this](UniqueFd fd) {
+                       if (options_.socket_send_buffer_bytes > 0) {
+                         ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF,
+                                      &options_.socket_send_buffer_bytes,
+                                      sizeof(options_.socket_send_buffer_bytes));
+                       }
+                       Connection conn;
+                       conn.id = next_conn_id_++;
+                       conn.link = Transport(std::move(fd));
+                       metrics_.connections_accepted.fetch_add(1);
+                       conns_.emplace(conn.id, std::move(conn));
+                     });
     }
 
     // Opportunistic flush for every connection with queued bytes (replies
     // generated this iteration go out without waiting for the next poll),
-    // then finish connections that have flushed their goodbye.
+    // then finish connections that have flushed their goodbye, and those
+    // idle with nothing outstanding.
+    const Transport::Clock::time_point now = Transport::Clock::now();
     std::vector<uint64_t> done;
     for (auto& [id, conn] : conns_) {
       write_ready(conn);
-      if (conn.closing && conn.sendq.empty()) done.push_back(id);
+      if (conn.closing && conn.link.output_empty()) {
+        done.push_back(id);
+      } else if (conn.streams.empty() && conn.outstanding_requests == 0 &&
+                 conn.link.idle(options_.idle_timeout_ms, now)) {
+        metrics_.idle_timeouts.fetch_add(1);
+        done.push_back(id);
+      }
     }
     for (const uint64_t id : done) close_connection(id);
-    harvest_idle();
   }
   // Poll thread owns the connections; drop them on the way out so their
   // fds close on this thread.
-  conns_.clear();
-}
-
-void NetServer::accept_ready() {
-  for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: back to poll
-    if (conns_.size() >= static_cast<size_t>(options_.max_connections)) {
-      metrics_.connections_rejected.fetch_add(1);
-      ::close(fd);
-      continue;
-    }
-    set_nonblocking(fd, true);
-    if (options_.socket_send_buffer_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.socket_send_buffer_bytes,
-                   sizeof(options_.socket_send_buffer_bytes));
-    }
-    Connection conn;
-    conn.id = next_conn_id_++;
-    conn.fd.reset(fd);
-    conn.last_activity = serve::Clock::now();
-    metrics_.connections_accepted.fetch_add(1);
-    conns_.emplace(conn.id, std::move(conn));
-  }
+  while (!conns_.empty()) close_connection(conns_.begin()->first);
 }
 
 void NetServer::read_ready(Connection& conn) {
-  uint8_t buf[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.in.insert(conn.in.end(), buf, buf + n);
-      metrics_.bytes_in.fetch_add(static_cast<uint64_t>(n));
-      conn.last_activity = serve::Clock::now();
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // EOF or hard error: nothing more will arrive; flush what we owe and go.
-    conn.closing = true;
-    break;
+  uint64_t bytes = 0;
+  WireStatus framing = WireStatus::kOk;
+  const bool open = conn.link.read_frames(
+      &bytes,
+      [&](const WireView& msg) { return !conn.closing && handle_message(conn, msg); },
+      &framing);
+  metrics_.bytes_in.fetch_add(bytes);
+  if (framing != WireStatus::kOk) {
+    // A framing error loses message boundaries; the only safe answer is a
+    // typed goodbye and a close.
+    metrics_.protocol_errors.fetch_add(1);
+    send_error(conn, 0, serve::ServeStatus::kError,
+               std::string("wire error: ") + to_string(framing));
   }
-
-  size_t off = 0;
-  while (!conn.closing) {
-    WireMessage msg;
-    size_t consumed = 0;
-    const WireStatus status =
-        decode_message(conn.in.data() + off, conn.in.size() - off, &msg, &consumed);
-    if (status == WireStatus::kNeedMore) break;
-    if (status != WireStatus::kOk) {
-      // A framing error loses message boundaries; the only safe answer is a
-      // typed goodbye and a close.
-      metrics_.protocol_errors.fetch_add(1);
-      send_error(conn, 0, serve::ServeStatus::kError,
-                 std::string("wire error: ") + to_string(status));
-      conn.closing = true;
-      break;
-    }
-    off += consumed;
-    if (!handle_message(conn, msg)) {
-      conn.closing = true;
-      break;
-    }
-  }
-  if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
+  if (!open) conn.closing = true;  // flush what we owe, then close
 }
 
 void NetServer::write_ready(Connection& conn) {
-  // Scatter-gather drain: each queued message contributes its inline header
-  // and its pooled payload as separate iovecs, so encoded frames go from
-  // codec output to kernel with no intermediate flat-buffer copy. sendmsg
-  // (writev with flags) accepts a partial write; `sent` offsets let the next
-  // call resume mid-header or mid-payload.
-  while (!conn.sendq.empty()) {
-    iovec iov[kMaxIov];
-    int niov = 0;
-    for (SendItem& s : conn.sendq) {
-      if (niov + 2 > kMaxIov) break;
-      std::vector<uint8_t>& body = s.payload.vec();
-      if (s.sent < kHeaderSize) {
-        iov[niov++] = {s.header.data() + s.sent, kHeaderSize - s.sent};
-        if (!body.empty()) iov[niov++] = {body.data(), body.size()};
-      } else {
-        const size_t body_off = s.sent - kHeaderSize;
-        iov[niov++] = {body.data() + body_off, body.size() - body_off};
-      }
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = static_cast<decltype(mh.msg_iovlen)>(niov);
-    const ssize_t n = ::sendmsg(conn.fd.get(), &mh, MSG_NOSIGNAL);
-    if (n > 0) {
-      metrics_.bytes_out.fetch_add(static_cast<uint64_t>(n));
-      conn.sendq_bytes -= static_cast<size_t>(n);
-      size_t left = static_cast<size_t>(n);
-      while (left > 0) {
-        SendItem& front = conn.sendq.front();
-        const size_t remaining =
-            kHeaderSize + front.payload.vec().size() - front.sent;
-        if (left >= remaining) {
-          left -= remaining;
-          if (front.trace.sampled() && options_.recorder != nullptr) {
-            // Sendq residency: queued -> last byte accepted by the kernel.
-            // Recorder-only — the frame this measures is already encoded.
-            obs::SpanRecord span;
-            span.trace_hi = front.trace.trace_hi;
-            span.trace_lo = front.trace.trace_lo;
-            span.span_id = obs::next_span_id();
-            span.parent_id = front.send_parent;
-            span.kind = obs::SpanKind::kSend;
-            span.t_start_ns = front.queued_ns;
-            span.t_end_ns = steady_now_ns();
-            span.tag = front.payload.vec().size();
-            options_.recorder->record(front.trace, span);
-          }
-          conn.sendq.pop_front();  // returns the payload to the pool
-        } else {
-          front.sent += left;
-          left = 0;
-        }
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // Peer is gone; drop the backlog so the cleanup pass reaps us.
-    discard_outbound(conn);
-    conn.closing = true;
-    return;
-  }
-  if (conn.sendq.empty()) {
-    // Sending drained the queue: streams gated on the buffer bound can
-    // encode again.
-    pump_streams(conn);
+  uint64_t bytes = 0;
+  const IoStatus status = conn.link.flush(&bytes, options_.recorder);
+  metrics_.bytes_out.fetch_add(bytes);
+  if (status == IoStatus::kClosed) {
+    conn.closing = true;  // peer is gone; the cleanup pass reaps us
+  } else if (conn.link.output_empty()) {
+    pump_streams(conn);  // streams gated on the buffer bound encode again
   }
 }
 
-bool NetServer::handle_message(Connection& conn, const WireMessage& msg) {
+bool NetServer::handle_message(Connection& conn, const WireView& msg) {
   if (!conn.got_hello && msg.type != MsgType::kHello) {
     metrics_.protocol_errors.fetch_add(1);
     send_error(conn, 0, serve::ServeStatus::kError, "expected hello first");
@@ -449,25 +289,18 @@ bool NetServer::handle_message(Connection& conn, const WireMessage& msg) {
   }
   switch (msg.type) {
     case MsgType::kHello: {
-      HelloMsg hello;
-      if (!HelloMsg::decode(msg.payload, &hello)) break;
       // The header version is checked by decode_message; the hello carries
-      // the version the *client* intends to speak, which may legitimately
-      // differ on a mixed-version fleet — reject it with a typed error
-      // rather than answering in a protocol the peer never claimed.
-      if (hello.version != kProtocolVersion) {
+      // the version the *client* intends to speak, which may differ.
+      std::string rejection;
+      if (!check_hello(msg.payload, &rejection)) break;
+      if (!rejection.empty()) {
         metrics_.protocol_errors.fetch_add(1);
-        send_error(conn, 0, serve::ServeStatus::kError,
-                   "unsupported protocol version " +
-                       std::to_string(hello.version) + " (want " +
-                       std::to_string(kProtocolVersion) + ")");
+        send_error(conn, 0, serve::ServeStatus::kError, rejection);
         return false;  // flush the typed error, then close
       }
       conn.got_hello = true;
-      HelloMsg ack;
-      ack.version = kProtocolVersion;
-      ack.name = "pswvr-netserve";
-      send_payload(conn, MsgType::kHelloAck, ack);
+      conn.link.send(MsgType::kHelloAck, HelloMsg{kProtocolVersion, "pswvr-netserve"},
+                     pool_);
       return true;
     }
     case MsgType::kRenderRequest: {
@@ -482,27 +315,10 @@ bool NetServer::handle_message(Connection& conn, const WireMessage& msg) {
       handle_stream_request(conn, req);
       return true;
     }
-    case MsgType::kMetricsRequest: {
-      // Payload selector: empty keeps the original combined-JSON document
-      // (the router's health prober depends on that), one byte picks an
-      // alternative exposition; anything unrecognized degrades to JSON.
-      uint8_t selector = kMetricsSelectorJson;
-      if (msg.payload.size() == 1) selector = msg.payload[0];
-      MetricsReplyMsg reply;
-      switch (selector) {
-        case kMetricsSelectorPrometheus:
-          reply.json = prometheus_text();
-          break;
-        case kMetricsSelectorTrace:
-          reply.json = trace_dump_json();
-          break;
-        default:
-          reply.json = metrics_json();
-          break;
-      }
-      send_payload(conn, MsgType::kMetricsReply, reply);
+    case MsgType::kMetricsRequest:
+      conn.link.send(MsgType::kMetricsReply, metrics_reply(*this, msg.payload),
+                     pool_);
       return true;
-    }
     case MsgType::kBye:
       return false;  // flush pending output, then close
     default:
@@ -528,21 +344,11 @@ void NetServer::handle_render_request(Connection& conn, const RenderRequestMsg& 
                                                 req.deadline_ms * 1e3));
   }
   const obs::TraceContext trace = render.trace;  // survives the move below
-  auto queue = queue_;
-  const uint64_t conn_id = conn.id;
-  const uint64_t request_id = req.request_id;
-  const uint64_t session_id = req.session_id;
-  const serve::ServeStatus admission = service_.submit_async(
-      std::move(render), [queue, conn_id, request_id, session_id](serve::FrameResult r) {
-        CompletionItem item;
-        item.conn_id = conn_id;
-        item.request_id = request_id;
-        item.session_id = session_id;
-        item.result = std::move(r);
-        queue->push(std::move(item));
-      });
+  const serve::ServeStatus admission =
+      submit(std::move(render), conn.id, /*stream_id=*/0, req.request_id,
+             req.session_id, /*seq=*/0);
   if (admission != serve::ServeStatus::kOk) {
-    send_error(conn, request_id, admission, to_string(admission), trace);
+    send_error(conn, req.request_id, admission, to_string(admission), trace);
     return;
   }
   ++conn.outstanding_requests;
@@ -568,24 +374,34 @@ void NetServer::handle_stream_request(Connection& conn, const StreamRequestMsg& 
   if (it->second.ended) conn.streams.erase(it);
 }
 
+serve::ServeStatus NetServer::submit(serve::RenderRequest&& render,
+                                     uint64_t conn_id, uint64_t stream_id,
+                                     uint64_t request_id, uint64_t session_id,
+                                     uint32_t seq) {
+  return service_.submit_async(
+      std::move(render), [queue = queue_, conn_id, stream_id, request_id,
+                          session_id, seq](serve::FrameResult r) {
+        queue->push({conn_id, stream_id, request_id, session_id, seq, std::move(r)});
+      });
+}
+
 void NetServer::drain_completions() {
-  std::deque<CompletionItem> items;
   {
     MutexLock lock(queue_->mutex);
-    items.swap(queue_->items);
+    completions_.swap(queue_->items);
   }
-  for (CompletionItem& item : items) apply_completion(std::move(item));
+  for (CompletionItem& item : completions_) apply_completion(std::move(item));
+  completions_.clear();  // keeps its capacity for the next swap
 }
 
 void NetServer::apply_completion(CompletionItem&& item) {
-  const auto cit = conns_.find(item.conn_id);
-  if (cit == conns_.end()) {
+  // A frame whose connection or stream is gone goes back to the pool.
+  const auto orphan = [&] {
     metrics_.orphaned_completions.fetch_add(1);
-    if (!item.result.image.empty()) {
-      service_.recycle_frame(std::move(item.result.image));
-    }
-    return;
-  }
+    queue_->drop(item);
+  };
+  const auto cit = conns_.find(item.conn_id);
+  if (cit == conns_.end()) return orphan();
   Connection& conn = cit->second;
 
   if (item.stream_id == 0) {
@@ -596,23 +412,12 @@ void NetServer::apply_completion(CompletionItem&& item) {
                  to_string(item.result.status), item.result.trace);
       return;
     }
-    FrameMsg frame;
-    frame.request_id = item.request_id;
-    frame.render_ms = item.result.timing.composite_ms + item.result.timing.warp_ms;
-    frame.total_ms = item.result.timing.total_ms;
-    frame.cache_hit = item.result.timing.cache_hit ? 1 : 0;
-    send_frame(conn, frame, conn.session_encoders[item.session_id], item);
+    send_frame(conn, conn.session_encoders[item.session_id], item, 0);
     return;
   }
 
   const auto sit = conn.streams.find(item.stream_id);
-  if (sit == conn.streams.end()) {
-    metrics_.orphaned_completions.fetch_add(1);
-    if (!item.result.image.empty()) {
-      service_.recycle_frame(std::move(item.result.image));
-    }
-    return;
-  }
+  if (sit == conn.streams.end()) return orphan();
   Stream& stream = sit->second;
   --stream.in_flight;
   if (item.result.status == serve::ServeStatus::kOk) {
@@ -662,22 +467,9 @@ void NetServer::pump_one_stream(Connection& conn, Stream& stream) {
     render.camera = Camera::orbit(
         {req.volume.nx, req.volume.ny, req.volume.nz},
         req.start_yaw + stream.next_submit * req.step_deg * kDeg, req.pitch);
-    auto queue = queue_;
-    const uint64_t conn_id = conn.id;
-    const uint64_t stream_id = req.stream_id;
-    const uint64_t session_id = req.session_id;
-    const uint32_t seq = stream.next_submit;
-    const serve::ServeStatus admission = service_.submit_async(
-        std::move(render),
-        [queue, conn_id, stream_id, session_id, seq](serve::FrameResult r) {
-          CompletionItem item;
-          item.conn_id = conn_id;
-          item.stream_id = stream_id;
-          item.session_id = session_id;
-          item.seq = seq;
-          item.result = std::move(r);
-          queue->push(std::move(item));
-        });
+    const serve::ServeStatus admission =
+        submit(std::move(render), conn.id, req.stream_id, /*request_id=*/0,
+               req.session_id, stream.next_submit);
     if (admission == serve::ServeStatus::kOk) {
       ++stream.in_flight;
       ++stream.next_submit;
@@ -693,35 +485,34 @@ void NetServer::pump_one_stream(Connection& conn, Stream& stream) {
   }
 
   // Encode and enqueue ready frames while the send buffer has room.
-  while (!stream.ready.empty() && !send_buffer_full(conn)) {
+  while (!stream.ready.empty() &&
+         conn.link.queued_bytes() < options_.max_send_buffer_bytes) {
     CompletionItem item = std::move(stream.ready.front());
     stream.ready.pop_front();
-    FrameMsg frame;
-    frame.stream_id = req.stream_id;
-    frame.seq = item.seq;
-    frame.dropped_before = stream.pending_dropped;
-    stream.pending_dropped = 0;
-    frame.render_ms = item.result.timing.composite_ms + item.result.timing.warp_ms;
-    frame.total_ms = item.result.timing.total_ms;
-    frame.cache_hit = item.result.timing.cache_hit ? 1 : 0;
-    send_frame(conn, frame, stream.encoder, item);
+    send_frame(conn, stream.encoder, item, std::exchange(stream.pending_dropped, 0));
     ++stream.sent;
   }
 
   if (stream.next_submit >= req.frames && stream.in_flight == 0 &&
       stream.ready.empty()) {
-    StreamEndMsg end;
-    end.stream_id = req.stream_id;
-    end.frames_sent = stream.sent;
-    end.frames_dropped = stream.dropped;
-    send_payload(conn, MsgType::kStreamEnd, end);
+    conn.link.send(MsgType::kStreamEnd,
+                   StreamEndMsg{req.stream_id, stream.sent, stream.dropped}, pool_);
     metrics_.streams_completed.fetch_add(1);
     stream.ended = true;
   }
 }
 
-void NetServer::send_frame(Connection& conn, FrameMsg& frame,
-                           FrameEncoder& encoder, CompletionItem& item) {
+void NetServer::send_frame(Connection& conn, FrameEncoder& encoder,
+                           CompletionItem& item, uint32_t dropped_before) {
+  const serve::FrameTiming& timing = item.result.timing;
+  FrameMsg frame;
+  frame.request_id = item.request_id;
+  frame.stream_id = item.stream_id;
+  frame.seq = item.seq;
+  frame.dropped_before = dropped_before;
+  frame.render_ms = timing.composite_ms + timing.warp_ms;
+  frame.total_ms = timing.total_ms;
+  frame.cache_hit = timing.cache_hit ? 1 : 0;
   // Single-buffer frame path: metadata, a blob-length placeholder, then the
   // codec encoding appended in place and the length patched — the blob never
   // exists outside the wire payload, and the payload buffer is pooled. The
@@ -755,15 +546,10 @@ void NetServer::send_frame(Connection& conn, FrameMsg& frame,
       if (s.kind == obs::SpanKind::kRequest) request_span = s.span_id;
     }
     if (request_span == 0) request_span = frame.trace.parent_span;
-    obs::SpanRecord enc;
-    enc.trace_hi = frame.trace.trace_hi;
-    enc.trace_lo = frame.trace.trace_lo;
-    enc.span_id = obs::next_span_id();
-    enc.parent_id = request_span;
-    enc.kind = obs::SpanKind::kFrameEncode;
-    enc.t_start_ns = encode_start;
-    enc.t_end_ns = steady_now_ns();
-    enc.tag = blob_bytes;
+    const obs::SpanRecord enc{frame.trace.trace_hi, frame.trace.trace_lo,
+                              obs::next_span_id(),   request_span,
+                              obs::SpanKind::kFrameEncode, encode_start,
+                              steady_now_ns(),       blob_bytes};
     if (options_.recorder != nullptr) options_.recorder->record(frame.trace, enc);
     frame.spans.push_back(enc);
     // The tail travels wall-anchored so router- and shard-side dumps share
@@ -778,40 +564,21 @@ void NetServer::send_frame(Connection& conn, FrameMsg& frame,
   metrics_.frame_raw_bytes.fetch_add(raw_bytes);
   metrics_.frame_wire_bytes.fetch_add(blob_bytes);
   service_.recycle_frame(std::move(item.result.image));
-  queue_send(conn, MsgType::kFrame, std::move(payload));
+  SendItem& queued = conn.link.send(MsgType::kFrame, std::move(payload));
   if (traced) {
-    SendItem& queued = conn.sendq.back();
     queued.trace = frame.trace;
     queued.send_parent = request_span;
     queued.queued_ns = steady_now_ns();
   }
 }
 
-void NetServer::queue_send(Connection& conn, MsgType type, PooledBuffer&& payload) {
-  SendItem item;
-  encode_header(type, payload.vec().data(), payload.vec().size(),
-                item.header.data());
-  conn.sendq_bytes += kHeaderSize + payload.vec().size();
-  item.payload = std::move(payload);
-  conn.sendq.push_back(std::move(item));
-}
-
-template <typename Msg>
-void NetServer::send_payload(Connection& conn, MsgType type, const Msg& msg) {
-  PooledBuffer payload = pool_.acquire(msg.encoded_size());
-  msg.encode(&payload.vec());
-  queue_send(conn, type, std::move(payload));
-}
-
 void NetServer::send_error(Connection& conn, uint64_t request_id,
                            serve::ServeStatus status, const std::string& message,
                            const obs::TraceContext& trace) {
-  ErrorMsg err;
-  err.request_id = request_id;
-  err.status = static_cast<uint16_t>(status);
-  err.message = message;
-  err.trace = trace;  // correlates the client-visible error with the trace
-  send_payload(conn, MsgType::kError, err);
+  // The trace correlates the client-visible error with the trace.
+  conn.link.send(MsgType::kError,
+                 ErrorMsg{request_id, static_cast<uint16_t>(status), message, trace},
+                 pool_);
   metrics_.errors_sent.fetch_add(1);
 }
 
@@ -821,41 +588,16 @@ void NetServer::maybe_head_sample(obs::TraceContext* trace) {
   *trace = obs::make_sampled_trace();
 }
 
-void NetServer::discard_outbound(Connection& conn) {
-  conn.sendq.clear();  // every pooled payload goes back to the pool
-  conn.sendq_bytes = 0;
-}
-
 void NetServer::close_connection(uint64_t conn_id) {
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   // Rendered-but-unsent frames still hold pool-born images; hand them back
   // so a churn of short-lived streams doesn't bleed the frame pool.
   for (auto& [sid, stream] : it->second.streams) {
-    for (CompletionItem& item : stream.ready) {
-      if (!item.result.image.empty()) {
-        service_.recycle_frame(std::move(item.result.image));
-      }
-    }
+    for (CompletionItem& item : stream.ready) queue_->drop(item);
   }
   conns_.erase(it);
   metrics_.connections_closed.fetch_add(1);
-}
-
-void NetServer::harvest_idle() {
-  if (options_.idle_timeout_ms <= 0) return;
-  std::vector<uint64_t> idle;
-  for (auto& [id, conn] : conns_) {
-    const bool quiet = conn.streams.empty() && conn.outstanding_requests == 0 &&
-                       conn.sendq.empty();
-    if (quiet && ms_since(conn.last_activity) > options_.idle_timeout_ms) {
-      idle.push_back(id);
-    }
-  }
-  for (const uint64_t id : idle) {
-    metrics_.idle_timeouts.fetch_add(1);
-    close_connection(id);
-  }
 }
 
 }  // namespace psw::net

@@ -18,7 +18,6 @@
 // connections with nothing outstanding are closed after `idle_timeout_ms`.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -29,7 +28,7 @@
 
 #include "net/frame_codec.hpp"
 #include "net/metrics.hpp"
-#include "net/socket.hpp"
+#include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
 #include "util/buffer_pool.hpp"
@@ -92,7 +91,6 @@ class NetServer {
 
   bool running() const { return thread_.joinable(); }
   uint16_t port() const { return port_; }
-  const NetServerOptions& options() const { return options_; }
   const NetMetrics& metrics() const { return metrics_; }
   PoolStats pool_stats() const { return pool_.stats(); }
 
@@ -138,31 +136,12 @@ class NetServer {
     FrameEncoder encoder;
   };
 
-  // One queued outbound message: the 16-byte wire header inline plus the
-  // payload still in its pooled buffer. writev hands both to the kernel in
-  // one call, so an encoded frame is never copied into a flat send buffer;
-  // popping a fully-sent item returns the payload storage to the pool.
-  struct SendItem {
-    std::array<uint8_t, kHeaderSize> header;
-    PooledBuffer payload;
-    size_t sent = 0;  // bytes of header+payload already accepted by the kernel
-    // Sampled frames record a kSend span (queued -> fully handed to the
-    // kernel) when the item drains; unsampled items leave these untouched.
-    obs::TraceContext trace;
-    uint64_t send_parent = 0;  // parent span id for the kSend span
-    int64_t queued_ns = 0;     // steady ns at sendq entry
-  };
-
   struct Connection {
     uint64_t id = 0;
-    UniqueFd fd;
-    std::vector<uint8_t> in;
-    std::deque<SendItem> sendq;
-    size_t sendq_bytes = 0;  // unsent bytes across sendq
+    Transport link;
     bool got_hello = false;
-    bool closing = false;  // flush `sendq`, then close
+    bool closing = false;  // flush queued output, then close
     int outstanding_requests = 0;
-    serve::Clock::time_point last_activity;
     std::map<uint64_t, Stream> streams;
     // One-shot requests from one connection share a per-session delta chain
     // (replies for a session are sent in submit order, so the chain is
@@ -171,12 +150,16 @@ class NetServer {
   };
 
   void poll_loop();
-  void accept_ready();
   void read_ready(Connection& conn);
   void write_ready(Connection& conn);
-  bool handle_message(Connection& conn, const WireMessage& msg);
+  bool handle_message(Connection& conn, const WireView& msg);
   void handle_render_request(Connection& conn, const RenderRequestMsg& req);
   void handle_stream_request(Connection& conn, const StreamRequestMsg& req);
+  // Submits `render`; its result reaches the poll thread as a
+  // CompletionItem carrying these ids.
+  serve::ServeStatus submit(serve::RenderRequest&& render, uint64_t conn_id,
+                            uint64_t stream_id, uint64_t request_id,
+                            uint64_t session_id, uint32_t seq);
   void drain_completions();
   void apply_completion(CompletionItem&& item);
   // Submits due stream frames and encodes ready frames into pooled payloads.
@@ -185,26 +168,15 @@ class NetServer {
   // Encodes one rendered frame straight into a pooled wire payload (meta,
   // blob-length placeholder, codec output, patched length) and queues it.
   // Recycles the frame's image back to the render service.
-  void send_frame(Connection& conn, FrameMsg& frame, FrameEncoder& encoder,
-                  CompletionItem& item);
-  // Stamps the wire header and appends to the connection's send queue.
-  void queue_send(Connection& conn, MsgType type, PooledBuffer&& payload);
-  // Encodes a control payload (hello ack, error, metrics, stream end) into
-  // a pooled buffer sized by encoded_size() and queues it.
-  template <typename Msg>
-  void send_payload(Connection& conn, MsgType type, const Msg& msg);
+  void send_frame(Connection& conn, FrameEncoder& encoder, CompletionItem& item,
+                  uint32_t dropped_before);
   void send_error(Connection& conn, uint64_t request_id, serve::ServeStatus status,
                   const std::string& message,
                   const obs::TraceContext& trace = {});
   // Head sampling: promotes every trace_sample-th unsampled context to a
   // fresh sampled trace rooted at this server. Poll thread only.
   void maybe_head_sample(obs::TraceContext* trace);
-  void discard_outbound(Connection& conn);
   void close_connection(uint64_t conn_id);
-  void harvest_idle();
-  bool send_buffer_full(const Connection& conn) const {
-    return conn.sendq_bytes >= options_.max_send_buffer_bytes;
-  }
 
   serve::RenderService& service_;
   NetServerOptions options_;
@@ -212,9 +184,9 @@ class NetServer {
   BufferPool pool_;
 
   UniqueFd listener_;
-  UniqueFd wake_rd_;  // read end of the self-pipe; write end lives in queue_
   uint16_t port_ = 0;
   std::shared_ptr<CompletionQueue> queue_;
+  std::vector<CompletionItem> completions_;  // drained batch, reused per pass
   std::atomic<bool> stopping_{false};
   std::map<uint64_t, Connection> conns_;
   uint64_t next_conn_id_ = 1;

@@ -66,38 +66,52 @@ uint16_t local_port(int fd) {
   return ntohs(sa.sin_port);
 }
 
-UniqueFd tcp_connect(const std::string& host, uint16_t port, std::string* error,
-                     int recv_buffer_bytes) {
-  int ignored = 0;
-  return tcp_connect_errno(host, port, error, &ignored, recv_buffer_bytes);
-}
+namespace {
 
-UniqueFd tcp_connect_errno(const std::string& host, uint16_t port,
-                           std::string* error, int* connect_errno,
-                           int recv_buffer_bytes) {
+// Creates a TCP_NODELAY socket and connects it to host:port; a nonblocking
+// socket may leave the connect pending (*in_progress).
+UniqueFd connect_socket(const std::string& host, uint16_t port, std::string* error,
+                        int* connect_errno, int recv_buffer_bytes,
+                        bool nonblocking, bool* in_progress) {
+  int ignored = 0;
+  if (connect_errno == nullptr) connect_errno = &ignored;
   *connect_errno = 0;
+  *in_progress = false;
   sockaddr_in sa;
   if (!parse_addr(host, port, &sa, error)) return UniqueFd();
   UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) {
+  if (!fd.valid() || (nonblocking && !set_nonblocking(fd.get(), true))) {
     *connect_errno = errno;
-    set_error(error, "socket");
+    set_error(error, fd.valid() ? "fcntl" : "socket");
     return UniqueFd();
   }
   if (recv_buffer_bytes > 0) {
     ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &recv_buffer_bytes,
                  sizeof(recv_buffer_bytes));
   }
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    *connect_errno = errno;
-    set_error(error, "connect");
-    return UniqueFd();
-  }
   // Frames are written whole; batching small messages behind Nagle only
   // adds latency to the request/reply path.
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    if (nonblocking && errno == EINPROGRESS) {
+      *in_progress = true;
+      return fd;
+    }
+    *connect_errno = errno;
+    set_error(error, "connect");
+    return UniqueFd();
+  }
+  return fd;  // connected (immediately, for a nonblocking loopback connect)
+}
+
+}  // namespace
+
+UniqueFd tcp_connect(const std::string& host, uint16_t port, std::string* error,
+                     int recv_buffer_bytes, int* connect_errno) {
+  bool in_progress = false;
+  return connect_socket(host, port, error, connect_errno, recv_buffer_bytes,
+                        /*nonblocking=*/false, &in_progress);
 }
 
 bool retryable_connect_errno(int err) {
@@ -107,29 +121,8 @@ bool retryable_connect_errno(int err) {
 
 UniqueFd tcp_connect_start(const std::string& host, uint16_t port,
                            std::string* error, bool* in_progress) {
-  *in_progress = false;
-  sockaddr_in sa;
-  if (!parse_addr(host, port, &sa, error)) return UniqueFd();
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) {
-    set_error(error, "socket");
-    return UniqueFd();
-  }
-  if (!set_nonblocking(fd.get(), true)) {
-    set_error(error, "fcntl");
-    return UniqueFd();
-  }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    if (errno == EINPROGRESS) {
-      *in_progress = true;
-      return fd;
-    }
-    set_error(error, "connect");
-    return UniqueFd();
-  }
-  return fd;  // connected immediately (loopback fast path)
+  return connect_socket(host, port, error, nullptr, 0, /*nonblocking=*/true,
+                        in_progress);
 }
 
 int finish_nonblocking_connect(int fd) {

@@ -44,17 +44,12 @@ uint16_t local_port(int fd);
 // Blocking connect to host:port (IPv4 dotted quad). A nonzero
 // recv_buffer_bytes requests a small SO_RCVBUF before connecting (so it
 // affects the negotiated window) — tests use this to provoke backpressure
-// without shipping hundreds of megabytes through loopback.
+// without shipping hundreds of megabytes through loopback. A non-null
+// connect_errno receives the failing errno (0 on success) so callers can
+// classify transient refusals (server not up yet) from permanent failures;
+// `retryable_connect_errno` encodes that classification in one place.
 UniqueFd tcp_connect(const std::string& host, uint16_t port, std::string* error,
-                     int recv_buffer_bytes = 0);
-
-// As tcp_connect, but additionally reports the failing errno through
-// *connect_errno (0 on success) so callers can classify transient refusals
-// (server not up yet) from permanent failures. `retryable_connect_errno`
-// encodes that classification in one place.
-UniqueFd tcp_connect_errno(const std::string& host, uint16_t port,
-                           std::string* error, int* connect_errno,
-                           int recv_buffer_bytes = 0);
+                     int recv_buffer_bytes = 0, int* connect_errno = nullptr);
 
 // True for errnos worth retrying with backoff: the address is fine but the
 // peer is not (yet) accepting — ECONNREFUSED, ECONNRESET, ETIMEDOUT,

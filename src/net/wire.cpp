@@ -173,16 +173,11 @@ void encode_header(MsgType type, const uint8_t* payload, size_t payload_size,
   for (int i = 0; i < 4; ++i) out[12 + i] = static_cast<uint8_t>(crc >> (8 * i));
 }
 
-void encode_message(MsgType type, const std::vector<uint8_t>& payload,
-                    std::vector<uint8_t>* out) {
-  encode_message(type, payload.data(), payload.size(), out);
-}
-
-WireStatus decode_message(const uint8_t* data, size_t size, WireMessage* out,
+WireStatus decode_message(const uint8_t* data, size_t size, WireView* out,
                           size_t* consumed) {
   *consumed = 0;
   if (size < kHeaderSize) return WireStatus::kNeedMore;
-  ByteReader header(data, kHeaderSize);
+  ByteReader header({data, kHeaderSize});
   const uint32_t magic = header.read_u32();
   const uint16_t version = header.read_u16();
   const uint16_t type = header.read_u16();
@@ -198,7 +193,8 @@ WireStatus decode_message(const uint8_t* data, size_t size, WireMessage* out,
   const uint8_t* payload = data + kHeaderSize;
   if (crc32(payload, length) != crc) return WireStatus::kBadCrc;
   out->type = static_cast<MsgType>(type);
-  out->payload.assign(payload, payload + length);
+  out->header = data;
+  out->payload = ByteView(payload, length);
   *consumed = kHeaderSize + length;
   return WireStatus::kOk;
 }
@@ -310,7 +306,7 @@ void HelloMsg::encode(std::vector<uint8_t>* out) const {
   put_string(out, name);
 }
 
-bool HelloMsg::decode(const std::vector<uint8_t>& payload, HelloMsg* out) {
+bool HelloMsg::decode(ByteView payload, HelloMsg* out) {
   ByteReader r(payload);
   out->version = r.read_u16();
   out->name = r.read_string();
@@ -332,8 +328,7 @@ void RenderRequestMsg::encode(std::vector<uint8_t>* out) const {
   put_trace_block(out, trace);
 }
 
-bool RenderRequestMsg::decode(const std::vector<uint8_t>& payload,
-                              RenderRequestMsg* out) {
+bool RenderRequestMsg::decode(ByteView payload, RenderRequestMsg* out) {
   ByteReader r(payload);
   out->request_id = r.read_u64();
   out->session_id = r.read_u64();
@@ -362,8 +357,7 @@ void StreamRequestMsg::encode(std::vector<uint8_t>* out) const {
   put_trace_block(out, trace);
 }
 
-bool StreamRequestMsg::decode(const std::vector<uint8_t>& payload,
-                              StreamRequestMsg* out) {
+bool StreamRequestMsg::decode(ByteView payload, StreamRequestMsg* out) {
   ByteReader r(payload);
   out->stream_id = r.read_u64();
   out->session_id = r.read_u64();
@@ -424,7 +418,7 @@ void FrameMsg::encode(std::vector<uint8_t>* out) const {
   encode_trace_tail(out);
 }
 
-bool FrameMsg::decode(const std::vector<uint8_t>& payload, FrameMsg* out) {
+bool FrameMsg::decode(ByteView payload, FrameMsg* out) {
   ByteReader r(payload);
   out->request_id = r.read_u64();
   out->stream_id = r.read_u64();
@@ -476,7 +470,7 @@ void StreamEndMsg::encode(std::vector<uint8_t>* out) const {
   put_u32(out, frames_dropped);
 }
 
-bool StreamEndMsg::decode(const std::vector<uint8_t>& payload, StreamEndMsg* out) {
+bool StreamEndMsg::decode(ByteView payload, StreamEndMsg* out) {
   ByteReader r(payload);
   out->stream_id = r.read_u64();
   out->frames_sent = r.read_u32();
@@ -496,7 +490,7 @@ void ErrorMsg::encode(std::vector<uint8_t>* out) const {
   put_trace_block(out, trace);
 }
 
-bool ErrorMsg::decode(const std::vector<uint8_t>& payload, ErrorMsg* out) {
+bool ErrorMsg::decode(ByteView payload, ErrorMsg* out) {
   ByteReader r(payload);
   out->request_id = r.read_u64();
   out->status = r.read_u16();
@@ -507,6 +501,16 @@ bool ErrorMsg::decode(const std::vector<uint8_t>& payload, ErrorMsg* out) {
   return r.exhausted();
 }
 
+bool check_hello(ByteView payload, std::string* rejection) {
+  HelloMsg hello;
+  if (!HelloMsg::decode(payload, &hello)) return false;
+  if (hello.version != kProtocolVersion) {
+    *rejection = "unsupported protocol version " + std::to_string(hello.version) +
+                 " (want " + std::to_string(kProtocolVersion) + ")";
+  }
+  return true;
+}
+
 size_t MetricsReplyMsg::encoded_size() const { return 4 + json.size(); }
 
 void MetricsReplyMsg::encode(std::vector<uint8_t>* out) const {
@@ -514,8 +518,7 @@ void MetricsReplyMsg::encode(std::vector<uint8_t>* out) const {
   put_string(out, json);
 }
 
-bool MetricsReplyMsg::decode(const std::vector<uint8_t>& payload,
-                             MetricsReplyMsg* out) {
+bool MetricsReplyMsg::decode(ByteView payload, MetricsReplyMsg* out) {
   ByteReader r(payload);
   out->json = r.read_string();
   return r.exhausted();

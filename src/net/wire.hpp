@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,30 +84,36 @@ enum class WireStatus {
 
 const char* to_string(WireStatus s);
 
-struct WireMessage {
+// Read-only bytes of one payload. Converts implicitly from std::vector, so
+// decoders accept owned buffers and in-place views alike.
+using ByteView = std::span<const uint8_t>;
+
+// One decoded message, viewed in place: nothing is copied, and the view is
+// valid only as long as the buffer it was decoded from. `header` points at
+// the 16 verified header bytes (CRC already checked), so a proxy can
+// forward the message without re-encoding it.
+struct WireView {
   MsgType type = MsgType::kBye;
-  std::vector<uint8_t> payload;
+  const uint8_t* header = nullptr;
+  ByteView payload;
 };
 
-// Appends one framed message to `out`.
-void encode_message(MsgType type, const uint8_t* payload, size_t payload_size,
-                    std::vector<uint8_t>* out);
-void encode_message(MsgType type, const std::vector<uint8_t>& payload,
-                    std::vector<uint8_t>* out);
-
-// Writes just the 16-byte frame header for a payload that already lives in
-// its own buffer. This is the scatter-gather half of encode_message: the
-// server queues (header, payload-handle) pairs and hands both to writev, so
-// an encoded frame is never copied into a flat send buffer. Byte-identical
-// to the first kHeaderSize bytes encode_message would have produced.
+// Writes the 16-byte frame header for a payload that lives in its own
+// buffer: senders queue (header, pooled payload) pairs and hand both to
+// sendmsg, so a payload is never copied into a flat send buffer.
 void encode_header(MsgType type, const uint8_t* payload, size_t payload_size,
                    uint8_t out[kHeaderSize]);
+
+// Appends one flat framed message (header + payload) to `out`: the
+// reference encoding encode_header is tested against.
+void encode_message(MsgType type, const uint8_t* payload, size_t payload_size,
+                    std::vector<uint8_t>* out);
 
 // Attempts to decode one message from the front of [data, data+size).
 // kOk: fills *out, *consumed = header + payload bytes.
 // kNeedMore: nothing consumed; call again with more bytes.
 // Any error: *consumed is 0 and the caller should drop the connection.
-WireStatus decode_message(const uint8_t* data, size_t size, WireMessage* out,
+WireStatus decode_message(const uint8_t* data, size_t size, WireView* out,
                           size_t* consumed);
 
 // --- little-endian primitive helpers -------------------------------------
@@ -130,9 +137,7 @@ void put_u32_at(std::vector<uint8_t>* out, size_t offset, uint32_t v);
 // decoders can read the whole struct and check ok() once at the end.
 class ByteReader {
  public:
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<uint8_t>& payload)
-      : ByteReader(payload.data(), payload.size()) {}
+  explicit ByteReader(ByteView bytes) : data_(bytes.data()), size_(bytes.size()) {}
 
   uint8_t read_u8();
   uint16_t read_u16();
@@ -173,7 +178,7 @@ struct HelloMsg {
 
   size_t encoded_size() const;
   void encode(std::vector<uint8_t>* out) const;
-  static bool decode(const std::vector<uint8_t>& payload, HelloMsg* out);
+  static bool decode(ByteView payload, HelloMsg* out);
 };
 
 struct RenderRequestMsg {
@@ -189,7 +194,7 @@ struct RenderRequestMsg {
 
   size_t encoded_size() const;
   void encode(std::vector<uint8_t>* out) const;
-  static bool decode(const std::vector<uint8_t>& payload, RenderRequestMsg* out);
+  static bool decode(ByteView payload, RenderRequestMsg* out);
 };
 
 struct StreamRequestMsg {
@@ -208,7 +213,7 @@ struct StreamRequestMsg {
 
   size_t encoded_size() const;
   void encode(std::vector<uint8_t>* out) const;
-  static bool decode(const std::vector<uint8_t>& payload, StreamRequestMsg* out);
+  static bool decode(ByteView payload, StreamRequestMsg* out);
 };
 
 struct FrameMsg {
@@ -244,7 +249,7 @@ struct FrameMsg {
   // (no-op when unsampled) after the caller has encoded the blob in place.
   void encode_trace_tail(std::vector<uint8_t>* out) const;
   size_t trace_tail_size() const;
-  static bool decode(const std::vector<uint8_t>& payload, FrameMsg* out);
+  static bool decode(ByteView payload, FrameMsg* out);
 };
 
 struct StreamEndMsg {
@@ -254,7 +259,7 @@ struct StreamEndMsg {
 
   size_t encoded_size() const;
   void encode(std::vector<uint8_t>* out) const;
-  static bool decode(const std::vector<uint8_t>& payload, StreamEndMsg* out);
+  static bool decode(ByteView payload, StreamEndMsg* out);
 };
 
 struct ErrorMsg {
@@ -268,7 +273,7 @@ struct ErrorMsg {
 
   size_t encoded_size() const;
   void encode(std::vector<uint8_t>* out) const;
-  static bool decode(const std::vector<uint8_t>& payload, ErrorMsg* out);
+  static bool decode(ByteView payload, ErrorMsg* out);
 };
 
 struct MetricsReplyMsg {
@@ -276,7 +281,32 @@ struct MetricsReplyMsg {
 
   size_t encoded_size() const;
   void encode(std::vector<uint8_t>* out) const;
-  static bool decode(const std::vector<uint8_t>& payload, MetricsReplyMsg* out);
+  static bool decode(ByteView payload, MetricsReplyMsg* out);
 };
+
+// --- the serving face every PSWN server (netserve, router) speaks ---------
+
+// Checks a kHello payload: false when malformed; otherwise *rejection gets
+// the typed-error text for a protocol version we do not speak (a
+// mixed-version peer gets an error, never bytes it cannot parse) and stays
+// untouched for an accepted hello.
+bool check_hello(ByteView payload, std::string* rejection);
+
+// Answers a kMetricsRequest from an endpoint with metrics_json(),
+// prometheus_text() and trace_dump_json(). An empty payload (the router's
+// health probe) or an unknown selector byte gets the JSON document.
+template <typename Endpoint>
+MetricsReplyMsg metrics_reply(const Endpoint& endpoint, ByteView request) {
+  const uint8_t selector = request.size() == 1 ? request[0] : kMetricsSelectorJson;
+  MetricsReplyMsg reply;
+  if (selector == kMetricsSelectorPrometheus) {
+    reply.json = endpoint.prometheus_text();
+  } else if (selector == kMetricsSelectorTrace) {
+    reply.json = endpoint.trace_dump_json();
+  } else {
+    reply.json = endpoint.metrics_json();
+  }
+  return reply;
+}
 
 }  // namespace psw::net

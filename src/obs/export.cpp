@@ -55,6 +55,13 @@ void PromText::gauge(const std::string& name, const std::string& help,
   sample(name, labels, v);
 }
 
+void PromText::recorder_counters(const SpanRecorder* recorder) {
+  if (recorder == nullptr) return;
+  counter("psw_trace_spans_recorded_total", "Spans recorded", recorder->recorded());
+  counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
+          recorder->overwritten());
+}
+
 void PromText::summary_ms(const std::string& name, const std::string& help,
                           const LatencyHistogram& h,
                           const std::string& labels) {

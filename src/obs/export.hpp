@@ -28,6 +28,8 @@ class PromText {
   // Values stay in milliseconds (the unit is in the metric name).
   void summary_ms(const std::string& name, const std::string& help,
                   const LatencyHistogram& h, const std::string& labels = "");
+  // The span-recorder counters, when a recorder is attached.
+  void recorder_counters(const SpanRecorder* recorder);
 
   const std::string& str() const { return out_; }
 
@@ -59,7 +61,7 @@ struct TraceTree {
 };
 
 // Groups spans by trace id. Spans may come from multiple dumps with a
-// shared wall-clock axis (SpanRecorder::dump_json exports wall ns).
+// shared wall-clock axis (trace_dump_json exports wall ns).
 std::vector<TraceTree> assemble_traces(std::vector<SpanRecord> spans);
 
 // Indented per-request tree: parentage from span ids, children ordered by

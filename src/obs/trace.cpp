@@ -198,20 +198,19 @@ std::vector<SpanRecord> SpanRecorder::snapshot() const {
       const Slot& s = ring.slots[i];
       const uint64_t seq1 = s.seq.load(std::memory_order_acquire);
       if (seq1 == 0 || (seq1 & 1) != 0) continue;  // empty or mid-write
+      // Acquire payload loads keep the seq re-check below after the copy,
+      // so it rejects any slot a writer touched meanwhile. (An acquire
+      // fence would do the same, but ThreadSanitizer cannot model fences.)
+      constexpr auto acq = std::memory_order_acquire;
       SpanRecord r;
-      // relaxed: payload loads; the seq re-check below rejects any slot a
-      // writer touched while we copied.
-      r.trace_hi = s.trace_hi.load(std::memory_order_relaxed);
-      r.trace_lo = s.trace_lo.load(std::memory_order_relaxed);
-      r.span_id = s.span_id.load(std::memory_order_relaxed);
-      // relaxed: same audit as the loads above — seq re-check rejects tears.
-      r.parent_id = s.parent_id.load(std::memory_order_relaxed);
-      r.kind = static_cast<SpanKind>(s.kind.load(std::memory_order_relaxed));
-      r.t_start_ns = s.t_start_ns.load(std::memory_order_relaxed);
-      r.t_end_ns = s.t_end_ns.load(std::memory_order_relaxed);
-      // relaxed: same audit as the loads above — seq re-check rejects tears.
-      r.tag = s.tag.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      r.trace_hi = s.trace_hi.load(acq);
+      r.trace_lo = s.trace_lo.load(acq);
+      r.span_id = s.span_id.load(acq);
+      r.parent_id = s.parent_id.load(acq);
+      r.kind = static_cast<SpanKind>(s.kind.load(acq));
+      r.t_start_ns = s.t_start_ns.load(acq);
+      r.t_end_ns = s.t_end_ns.load(acq);
+      r.tag = s.tag.load(acq);
       const uint64_t seq2 = s.seq.load(std::memory_order_acquire);
       if (seq1 != seq2) continue;  // torn: writer raced the copy
       out.push_back(r);
@@ -278,20 +277,22 @@ void write_span(JsonWriter& w, const SpanRecord& s, bool to_wall) {
 
 }  // namespace
 
-std::string SpanRecorder::dump_json(const std::string& node) const {
+std::string trace_dump_json(const SpanRecorder* r, const std::string& node) {
   JsonWriter w;
   w.begin_object();
   w.field("node", node);
   w.field("anchor_unix_ns", static_cast<uint64_t>(clock_anchor().wall_ns));
-  w.field("recorded", recorded());
-  w.field("overwritten", overwritten());
+  w.field("recorded", r ? r->recorded() : uint64_t{0});
+  w.field("overwritten", r ? r->overwritten() : uint64_t{0});
   w.key("spans");
   w.begin_array();
-  for (const SpanRecord& s : snapshot()) write_span(w, s, /*to_wall=*/true);
+  for (const SpanRecord& s : r ? r->snapshot() : std::vector<SpanRecord>()) {
+    write_span(w, s, /*to_wall=*/true);
+  }
   w.end_array();
   w.key("slow");
   w.begin_array();
-  for (const RetainedTrace& t : slow_traces()) {
+  for (const RetainedTrace& t : r ? r->slow_traces() : std::vector<RetainedTrace>()) {
     w.begin_object();
     w.field("trace", trace_id_hex(t.ctx));
     w.field("total_ms", t.total_ms);

@@ -91,6 +91,15 @@ struct SpanRecord {
   }
 };
 
+class SpanRecorder;
+
+// Structured-JSON trace dump: rings + flight recorder, timestamps
+// converted steady -> wall ns through the process ClockAnchor so dumps
+// from different processes share one time axis. `node` labels the
+// emitting process ("router", "shard-0", ...). A null recorder yields the
+// same document with no spans, so tools aggregate without special cases.
+std::string trace_dump_json(const SpanRecorder* recorder, const std::string& node);
+
 // A trace retained by the slow-request flight recorder.
 struct RetainedTrace {
   TraceContext ctx;
@@ -131,12 +140,6 @@ class SpanRecorder {
   uint64_t overwritten() const;  // spans lost to ring wrap
 
   double slow_threshold_ms() const { return opt_.slow_ms; }
-
-  // Structured-JSON trace dump: rings + flight recorder, timestamps
-  // converted steady -> wall ns through the process ClockAnchor so dumps
-  // from different processes share one time axis. `node` labels the
-  // emitting process ("router", "shard-0", ...).
-  std::string dump_json(const std::string& node) const;
 
  private:
   struct Slot {

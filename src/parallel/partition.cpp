@@ -10,12 +10,6 @@ void prefix_sum_into(const std::vector<uint32_t>& cost, std::vector<uint64_t>* o
   for (size_t i = 0; i < cost.size(); ++i) (*out)[i + 1] = (*out)[i] + cost[i];
 }
 
-std::vector<uint64_t> prefix_sum(const std::vector<uint32_t>& cost) {
-  std::vector<uint64_t> out;
-  prefix_sum_into(cost, &out);
-  return out;
-}
-
 void prefix_sum_parallel_into(const std::vector<uint32_t>& cost, Executor& exec,
                               PartitionScratch* scratch) {
   const int P = exec.procs();
@@ -58,13 +52,6 @@ void prefix_sum_parallel_into(const std::vector<uint32_t>& cost, Executor& exec,
   });
 }
 
-std::vector<uint64_t> prefix_sum_parallel(const std::vector<uint32_t>& cost,
-                                          Executor& exec) {
-  PartitionScratch scratch;
-  prefix_sum_parallel_into(cost, exec, &scratch);
-  return std::move(scratch.cum);
-}
-
 void balanced_partition_into(const std::vector<uint64_t>& cumulative, int procs,
                              std::vector<int>* bounds_out) {
   const int n = static_cast<int>(cumulative.size()) - 1;
@@ -96,24 +83,12 @@ void balanced_partition_into(const std::vector<uint64_t>& cumulative, int procs,
   for (int p = 1; p <= procs; ++p) bounds[p] = std::max(bounds[p], bounds[p - 1]);
 }
 
-std::vector<int> balanced_partition(const std::vector<uint64_t>& cumulative, int procs) {
-  std::vector<int> bounds;
-  balanced_partition_into(cumulative, procs, &bounds);
-  return bounds;
-}
-
 void uniform_partition_into(int n, int procs, std::vector<int>* bounds_out) {
   std::vector<int>& bounds = *bounds_out;
   bounds.assign(procs + 1, 0);
   for (int p = 0; p <= procs; ++p) {
     bounds[p] = static_cast<int>(static_cast<int64_t>(n) * p / procs);
   }
-}
-
-std::vector<int> uniform_partition(int n, int procs) {
-  std::vector<int> bounds;
-  uniform_partition_into(n, procs, &bounds);
-  return bounds;
 }
 
 double partition_imbalance(const std::vector<uint64_t>& cumulative,

@@ -24,27 +24,22 @@ struct PartitionScratch {
 
 // Inclusive-prefix cumulative cost; out[i] = sum of cost[0..i-1], size n+1
 // (out[0] = 0, out[n] = total).
-std::vector<uint64_t> prefix_sum(const std::vector<uint32_t>& cost);
 void prefix_sum_into(const std::vector<uint32_t>& cost, std::vector<uint64_t>* out);
 
 // Two-pass parallel prefix (block sums, scan of block sums, local fix-up)
-// over the executor's processors. Equivalent to prefix_sum. The _into form
-// leaves the result in scratch->cum and allocates only when the scratch
-// capacities grow.
-std::vector<uint64_t> prefix_sum_parallel(const std::vector<uint32_t>& cost,
-                                          Executor& exec);
+// over the executor's processors. Equivalent to prefix_sum_into; leaves the
+// result in scratch->cum and allocates only when the scratch capacities
+// grow.
 void prefix_sum_parallel_into(const std::vector<uint32_t>& cost, Executor& exec,
                               PartitionScratch* scratch);
 
 // P+1 monotone boundaries over [0, n]: boundary p is the index whose
 // cumulative cost is closest to p/P of the total (§4.3), found by binary
 // search. Zero total cost degenerates to a uniform split.
-std::vector<int> balanced_partition(const std::vector<uint64_t>& cumulative, int procs);
 void balanced_partition_into(const std::vector<uint64_t>& cumulative, int procs,
                              std::vector<int>* bounds);
 
 // Uniform split of [0, n] into P near-equal ranges.
-std::vector<int> uniform_partition(int n, int procs);
 void uniform_partition_into(int n, int procs, std::vector<int>* bounds);
 
 // Largest absolute per-share deviation from perfect balance, as a fraction

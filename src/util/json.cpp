@@ -79,6 +79,12 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
+JsonWriter& JsonWriter::raw(const std::string& json) {
+  pre_value();
+  out_ += json;
+  return *this;
+}
+
 JsonWriter& JsonWriter::key(const std::string& name) {
   pre_value();
   out_ += json_quote(name);

@@ -27,6 +27,8 @@ class JsonWriter {
   JsonWriter& value(bool v);
   JsonWriter& value(const std::string& v);
   JsonWriter& value(const char* v) { return value(std::string(v)); }
+  // An already-serialized JSON document, embedded verbatim.
+  JsonWriter& raw(const std::string& json);
 
   // key + value in one call.
   template <class T>

@@ -14,8 +14,10 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "parallel/new_renderer.hpp"
 #include "phantom/phantom.hpp"
 #include "serve/service.hpp"
+#include "util/json_parse.hpp"
 #include "util/timer.hpp"
 
 namespace psw::cluster {
@@ -146,7 +149,7 @@ TEST(HashRing, PickReturnsDistinctNodesOwnerFirst) {
 // exactly like netserve --trace-sample / clusterctl wire them up.
 class MiniCluster {
  public:
-  explicit MiniCluster(int n, bool traced = false) {
+  explicit MiniCluster(int n, bool traced = false, RouterOptions ropt = {}) {
     std::vector<ShardSpec> specs;
     for (int i = 0; i < n; ++i) {
       serve::ServiceOptions sopt;
@@ -168,7 +171,6 @@ class MiniCluster {
       specs.push_back({"shard-" + std::to_string(i), "127.0.0.1",
                        servers_.back()->port(), 1});
     }
-    RouterOptions ropt;
     ropt.probe_interval_ms = 50.0;
     if (traced) {
       ropt.recorder = &router_recorder_;
@@ -191,6 +193,7 @@ class MiniCluster {
 
   Router& router() { return *router_; }
   net::NetServer& server(size_t i) { return *servers_[i]; }
+  serve::RenderService& service(size_t i) { return *services_[i]; }
   obs::SpanRecorder& shard_recorder(size_t i) { return *recorders_[i]; }
   obs::SpanRecorder& router_recorder() { return router_recorder_; }
 
@@ -381,6 +384,15 @@ TEST(ClusterRouter, StreamArrivesInOrderAndComplete) {
             static_cast<uint64_t>(req.frames));
 }
 
+// <object>.<key> of a top-level object in a metrics document; 0 if absent.
+uint64_t doc_u64(const std::string& json, const char* object, const char* key) {
+  JsonValue doc;
+  if (!json_parse(json, &doc)) return 0;
+  const JsonValue* obj = doc.find(object);
+  const JsonValue* v = obj ? obj->find(key) : nullptr;
+  return v ? v->as_u64() : 0;
+}
+
 TEST(ClusterRouter, AggregatedMetricsRollUpBothShards) {
   MiniCluster cluster(2);
   ASSERT_TRUE(cluster.healthy(2));
@@ -411,15 +423,15 @@ TEST(ClusterRouter, AggregatedMetricsRollUpBothShards) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (completed < 2 && std::chrono::steady_clock::now() < deadline) {
     ASSERT_TRUE(client.fetch_metrics(&json, &error)) << error;
-    completed = scan_json_u64_in(json, "cluster", "frames_completed");
+    completed = doc_u64(json, "cluster", "frames_completed");
     if (completed < 2) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   client.send_bye(nullptr);
 
   EXPECT_EQ(completed, 2u);
-  EXPECT_EQ(scan_json_u64_in(json, "router", "requests_routed"), 2u);
-  EXPECT_EQ(scan_json_u64_in(json, "cluster", "shards"), 2u);
-  EXPECT_EQ(scan_json_u64_in(json, "cluster", "shards_in_ring"), 2u);
+  EXPECT_EQ(doc_u64(json, "router", "requests_routed"), 2u);
+  EXPECT_EQ(doc_u64(json, "cluster", "shards"), 2u);
+  EXPECT_EQ(doc_u64(json, "cluster", "shards_in_ring"), 2u);
   EXPECT_NE(json.find("\"shard-0\""), std::string::npos);
   EXPECT_NE(json.find("\"shard-1\""), std::string::npos);
   // Each shard's own document is embedded verbatim.
@@ -440,7 +452,7 @@ TEST(ClusterRouter, HelloVersionMismatchGetsTypedErrorThenClose) {
   hello.name = "from-the-future";
   std::vector<uint8_t> payload, wire;
   hello.encode(&payload);
-  net::encode_message(net::MsgType::kHello, payload, &wire);
+  net::encode_message(net::MsgType::kHello, payload.data(), payload.size(), &wire);
   ASSERT_GT(::send(fd.get(), wire.data(), wire.size(), 0), 0);
 
   // Typed kError, then EOF — never a HelloAck in a protocol the peer
@@ -456,7 +468,7 @@ TEST(ClusterRouter, HelloVersionMismatchGetsTypedErrorThenClose) {
     if (n > 0) have += static_cast<size_t>(n);
   }
   ASSERT_TRUE(got_eof);
-  net::WireMessage msg;
+  net::WireView msg;
   size_t consumed = 0;
   ASSERT_EQ(net::decode_message(in.data(), have, &msg, &consumed),
             net::WireStatus::kOk);
@@ -777,6 +789,304 @@ TEST(ClusterTrace, UnavailableErrorCarriesTheTraceId) {
   EXPECT_EQ(event.error.trace.trace_hi, req.trace.trace_hi);
   EXPECT_EQ(event.error.trace.trace_lo, req.trace.trace_lo);
   router.stop();
+}
+
+// --- router failure paths and the shared transport ------------------------
+
+// A client speaking PSWN by hand over a blocking socket, for byte-level
+// control: split writes, garbage, and resets.
+class RawPeer {
+ public:
+  explicit RawPeer(uint16_t port) {
+    std::string error;
+    fd_ = net::tcp_connect("127.0.0.1", port, &error);
+    EXPECT_TRUE(fd_.valid()) << error;
+    net::set_recv_timeout_ms(fd_.get(), 10'000.0);
+  }
+
+  template <typename Msg>
+  static std::vector<uint8_t> frame(net::MsgType type, const Msg& msg) {
+    std::vector<uint8_t> payload, wire;
+    msg.encode(&payload);
+    net::encode_message(type, payload.data(), payload.size(), &wire);
+    return wire;
+  }
+
+  // One send() per `chunk` bytes (1 = a byte per segment with TCP_NODELAY).
+  void send(const std::vector<uint8_t>& bytes, size_t chunk) {
+    for (size_t off = 0; off < bytes.size(); off += chunk) {
+      const size_t n = std::min(chunk, bytes.size() - off);
+      ASSERT_EQ(::send(fd_.get(), bytes.data() + off, n, MSG_NOSIGNAL),
+                static_cast<ssize_t>(n));
+    }
+  }
+
+  // Blocks for the next whole message; the view lives until the next call.
+  bool read(net::WireView* msg) {
+    in_.erase(in_.begin(), in_.begin() + static_cast<long>(used_));
+    used_ = 0;
+    for (;;) {
+      const net::WireStatus status =
+          net::decode_message(in_.data(), in_.size(), msg, &used_);
+      if (status != net::WireStatus::kNeedMore) return status == net::WireStatus::kOk;
+      uint8_t chunk[16384];
+      const ssize_t n = ::recv(fd_.get(), chunk, sizeof(chunk), 0);
+      if (n <= 0) return false;
+      in_.insert(in_.end(), chunk, chunk + n);
+    }
+  }
+
+  void hello() {
+    net::HelloMsg hello;
+    hello.name = "raw-peer";
+    send(frame(net::MsgType::kHello, hello), 1 << 20);
+    net::WireView ack;
+    ASSERT_TRUE(read(&ack));
+    ASSERT_EQ(ack.type, net::MsgType::kHelloAck);
+  }
+
+  // Closes with SO_LINGER 0: the peer sees a reset, not an orderly EOF.
+  void reset() {
+    const linger hard{1, 0};
+    ::setsockopt(fd_.get(), SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    fd_.reset();
+  }
+
+  int fd() const { return fd_.get(); }
+
+ private:
+  net::UniqueFd fd_;
+  std::vector<uint8_t> in_;
+  size_t used_ = 0;
+};
+
+template <typename Pred>
+bool wait_for(Pred pred, double timeout_ms = 10'000.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(static_cast<int64_t>(timeout_ms));
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+// Pixel hash of `camera` rendered directly, as MiniCluster's shards render.
+uint64_t direct_hash(const serve::VolumeKey& key, const Camera& camera) {
+  serve::ServiceOptions sopt;
+  sopt.worker_threads = 2;
+  const DensityVolume density =
+      key.seed ? make_mri_brain(key.nx, key.ny, key.nz, key.seed)
+               : make_mri_brain(key.nx, key.ny, key.nz);
+  const EncodedVolume volume = EncodedVolume::build(
+      classify(density, TransferFunction::mri_preset(), key.classify),
+      key.classify.alpha_threshold);
+  NewParallelRenderer renderer(sopt.parallel);
+  ThreadedExecutor exec(sopt.worker_threads);
+  ImageU8 image;
+  renderer.render(volume, camera, exec, &image);
+  return pixel_hash(image);
+}
+
+TEST(ClusterRouter, GarbageBytesGetTypedErrorThenClose) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  RawPeer peer(cluster.router().port());
+  const std::string garbage = "GET / HTTP/1.1\r\n\r\n";
+  peer.send(std::vector<uint8_t>(garbage.begin(), garbage.end()), 1 << 20);
+
+  net::WireView msg;
+  ASSERT_TRUE(peer.read(&msg));
+  ASSERT_EQ(msg.type, net::MsgType::kError);
+  net::ErrorMsg err;
+  ASSERT_TRUE(net::ErrorMsg::decode(msg.payload, &err));
+  EXPECT_NE(err.message.find("wire error"), std::string::npos) << err.message;
+  EXPECT_FALSE(peer.read(&msg));  // then EOF
+  EXPECT_GE(cluster.router().metrics().protocol_errors.load(), 1u);
+}
+
+TEST(ClusterRouter, IdleClientsAreHarvested) {
+  RouterOptions ropt;
+  ropt.idle_timeout_ms = 250.0;  // long enough for a sanitizer-slowed handshake
+  MiniCluster cluster(1, /*traced=*/false, ropt);
+  ASSERT_TRUE(cluster.healthy(1));
+  net::NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", cluster.router().port(), &error)) << error;
+  const RouterMetrics& m = cluster.router().metrics();
+  ASSERT_TRUE(wait_for([&] { return m.clients_closed.load() == 1; }));
+  EXPECT_EQ(m.clients_accepted.load(), 1u);
+  std::string json;
+  EXPECT_FALSE(client.fetch_metrics(&json, &error));  // the router hung up
+}
+
+// A client that never reads makes the router buffer forwarded frames; past
+// max_send_buffer_bytes the router cuts it (forwarded delta frames cannot
+// be dropped) and counts the cut as a protocol error.
+TEST(ClusterRouter, SlowReaderIsCutAtTheSendBufferBound) {
+  RouterOptions ropt;
+  ropt.max_send_buffer_bytes = 16 * 1024;
+  MiniCluster cluster(1, /*traced=*/false, ropt);
+  ASSERT_TRUE(cluster.healthy(1));
+  RawPeer peer(cluster.router().port());
+  const int tiny = 4 * 1024;
+  ::setsockopt(peer.fd(), SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  peer.hello();
+  net::StreamRequestMsg req;
+  req.stream_id = 1;
+  req.session_id = 1;
+  req.volume = key_owned_by(0, 1);
+  req.frames = 2000;
+  peer.send(RawPeer::frame(net::MsgType::kStreamRequest, req), 1 << 20);
+
+  const RouterMetrics& m = cluster.router().metrics();
+  ASSERT_TRUE(wait_for([&] { return m.clients_closed.load() == 1; }, 30'000.0));
+  EXPECT_GE(m.protocol_errors.load(), 1u);
+  EXPECT_GT(m.frames_forwarded.load(), 0u);
+}
+
+// Framing survives arbitrary segmentation: a hello and a render request
+// sent one byte per send() still yield a frame bit-identical to a direct
+// render.
+TEST(ClusterRouter, RequestSentOneBytePerSendIsBitIdentical) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  RawPeer peer(cluster.router().port());
+  net::HelloMsg hello;
+  hello.name = "byte-at-a-time";
+  peer.send(RawPeer::frame(net::MsgType::kHello, hello), 1);
+  net::WireView msg;
+  ASSERT_TRUE(peer.read(&msg));
+  ASSERT_EQ(msg.type, net::MsgType::kHelloAck);
+
+  net::RenderRequestMsg req;
+  req.request_id = 7;
+  req.session_id = 3;
+  req.volume = key_owned_by(0, 1);
+  req.camera = Camera::orbit({req.volume.nx, req.volume.ny, req.volume.nz}, 0.6, 0.3);
+  peer.send(RawPeer::frame(net::MsgType::kRenderRequest, req), 1);
+  ASSERT_TRUE(peer.read(&msg));
+  ASSERT_EQ(msg.type, net::MsgType::kFrame);
+  net::FrameMsg frame;
+  ASSERT_TRUE(net::FrameMsg::decode(msg.payload, &frame));
+  EXPECT_EQ(frame.request_id, req.request_id);
+  net::FrameDecoder decoder;
+  ImageU8 image;
+  ASSERT_EQ(decoder.decode(frame.encoded, &image), net::CodecStatus::kOk);
+  EXPECT_EQ(pixel_hash(image), direct_hash(req.volume, req.camera));
+  EXPECT_EQ(cluster.router().metrics().protocol_errors.load(), 0u);
+}
+
+// Proxied frames are forwarded through the router's send pool: once warm,
+// a long stream allocates no new payload buffers, and every frame stays
+// bit-identical to a direct render.
+TEST(ClusterRouter, WarmRouterForwardsStreamWithoutPoolMisses) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  net::NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", cluster.router().port(), &error)) << error;
+  net::StreamRequestMsg req;
+  req.stream_id = 5;
+  req.session_id = 5;
+  req.volume = key_owned_by(0, 1);
+  req.start_yaw = 0.1;
+  req.step_deg = 4.0;
+  req.frames = 90;
+  ASSERT_TRUE(client.open_stream(req, &error)) << error;
+
+  constexpr uint32_t kWindow = 10;  // frames that warm the pool
+  uint64_t warm_misses = 0;
+  std::vector<std::pair<uint32_t, uint64_t>> received;  // (seq, hash)
+  for (;;) {
+    net::NetClient::Event event;
+    ASSERT_TRUE(client.next_event(&event, &error)) << error;
+    ASSERT_NE(event.kind, net::NetClient::Event::Kind::kError);
+    if (event.kind == net::NetClient::Event::Kind::kStreamEnd) break;
+    received.emplace_back(event.frame.seq, pixel_hash(event.image));
+    if (received.size() == kWindow) warm_misses = cluster.router().pool_stats().misses;
+  }
+  ASSERT_EQ(received.size(), static_cast<size_t>(req.frames));
+  EXPECT_EQ(cluster.router().pool_stats().misses, warm_misses);
+  EXPECT_EQ(cluster.router().metrics().frames_forwarded.load(), req.frames);
+
+  const std::array<int, 3> dims{req.volume.nx, req.volume.ny, req.volume.nz};
+  for (const auto& [seq, hash] : received) {
+    const Camera camera =
+        Camera::orbit(dims, req.start_yaw + seq * req.step_deg * kDeg, req.pitch);
+    EXPECT_EQ(hash, direct_hash(req.volume, camera)) << "seq " << seq;
+  }
+  client.send_bye(nullptr);
+}
+
+size_t open_fds() {
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  return static_cast<size_t>(std::distance(begin(fds), end(fds)));
+}
+
+// Peers that vanish with a TCP reset — mid request frame and mid stream —
+// against netserve directly and through the router. Afterwards every send
+// pool is balanced with nothing outstanding, every accepted connection was
+// closed, and no file descriptor leaked.
+TEST(ClusterConservation, PeerResetsLeavePoolsConnectionsAndFdsBalanced) {
+  const size_t fds_before = open_fds();
+  {
+    MiniCluster cluster(1);
+    ASSERT_TRUE(cluster.healthy(1));
+    net::NetServer& server = cluster.server(0);
+    Router& router = cluster.router();
+    const serve::VolumeKey key = key_owned_by(0, 1);
+
+    for (const uint16_t port : {server.port(), router.port()}) {
+      net::RenderRequestMsg render;
+      render.request_id = 1;
+      render.volume = key;
+      render.camera = Camera::orbit({key.nx, key.ny, key.nz}, 0.2, 0.3);
+      const std::vector<uint8_t> request =
+          RawPeer::frame(net::MsgType::kRenderRequest, render);
+      RawPeer mid_frame(port);
+      mid_frame.hello();
+      mid_frame.send({request.begin(), request.begin() + request.size() / 2}, 1 << 20);
+      mid_frame.reset();
+
+      net::StreamRequestMsg stream;
+      stream.stream_id = 2;
+      stream.volume = key;
+      stream.frames = 400;
+      RawPeer mid_stream(port);
+      mid_stream.hello();
+      mid_stream.send(RawPeer::frame(net::MsgType::kStreamRequest, stream), 1 << 20);
+      net::WireView first;
+      ASSERT_TRUE(mid_stream.read(&first));
+      EXPECT_EQ(first.type, net::MsgType::kFrame);
+      mid_stream.reset();
+    }
+
+    const RouterMetrics& rm = router.metrics();
+    EXPECT_TRUE(wait_for([&] {
+      return rm.clients_accepted.load() == 2 && rm.clients_closed.load() == 2;
+    }));
+    // The router's own shard connections close with it; then the shard has
+    // closed everything it accepted.
+    router.stop();
+    const net::NetMetrics& sm = server.metrics();
+    EXPECT_TRUE(wait_for([&] {
+      return sm.connections_closed.load() == sm.connections_accepted.load();
+    }));
+    server.stop();
+    cluster.service(0).drain();
+    const std::pair<const char*, PoolStats> pools[] = {
+        {"server send", server.pool_stats()},
+        {"router send", router.pool_stats()},
+        {"frame", cluster.service(0).frame_pool_stats()}};
+    for (const auto& [name, pool] : pools) {
+      EXPECT_TRUE(pool.conserves()) << name << " acquires " << pool.acquires
+                                    << " releases " << pool.releases;
+      EXPECT_EQ(pool.outstanding, 0u) << name;
+    }
+    EXPECT_EQ(sm.connections_closed.load(), sm.connections_accepted.load());
+  }
+  EXPECT_EQ(open_fds(), fds_before);
 }
 
 }  // namespace

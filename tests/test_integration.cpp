@@ -4,6 +4,8 @@
 // end-to-end properties the paper's conclusions rest on.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/reference.hpp"
 #include "memsim/experiment.hpp"
 #include "parallel/new_renderer.hpp"
@@ -33,8 +35,10 @@ void expect_identical(const ImageU8& a, const ImageU8& b) {
 }
 
 // All three renderers agree on both dataset kinds over a rotation sweep.
+// The kind is a std::string so the printed parameter (and with it the test
+// name) is the text, not a pointer address that changes from run to run.
 class PipelineAgreement
-    : public ::testing::TestWithParam<std::tuple<const char*, int, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, double>> {};
 
 TEST_P(PipelineAgreement, OldNewSerialIdentical) {
   const std::string kind = std::get<0>(GetParam());
@@ -59,7 +63,8 @@ TEST_P(PipelineAgreement, OldNewSerialIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsProcsAngles, PipelineAgreement,
-    ::testing::Combine(::testing::Values("mri", "ct"), ::testing::Values(2, 7, 32),
+    ::testing::Combine(::testing::Values(std::string("mri"), std::string("ct")),
+                       ::testing::Values(2, 7, 32),
                        ::testing::Values(0.0, 0.9, 2.4, 4.2)));
 
 // A full 360-degree animation through the new renderer stays identical to

@@ -69,10 +69,10 @@ TEST(Wire, HeaderAndPayloadRoundTrip) {
   std::vector<uint8_t> payload;
   hello.encode(&payload);
   std::vector<uint8_t> wire;
-  encode_message(MsgType::kHello, payload, &wire);
+  encode_message(MsgType::kHello, payload.data(), payload.size(), &wire);
   ASSERT_EQ(wire.size(), kHeaderSize + payload.size());
 
-  WireMessage msg;
+  WireView msg;
   size_t consumed = 0;
   ASSERT_EQ(decode_message(wire.data(), wire.size(), &msg, &consumed),
             WireStatus::kOk);
@@ -231,7 +231,7 @@ TEST(Wire, EncodeHeaderMatchesEncodeMessagePrefix) {
     std::vector<uint8_t> payload(len);
     for (auto& b : payload) b = static_cast<uint8_t>(byte(rng));
     std::vector<uint8_t> whole;
-    encode_message(MsgType::kFrame, payload, &whole);
+    encode_message(MsgType::kFrame, payload.data(), payload.size(), &whole);
     uint8_t header[kHeaderSize];
     encode_header(MsgType::kFrame, payload.data(), payload.size(), header);
     // The scatter-gather pair (header array, payload buffer) must put the
@@ -277,9 +277,9 @@ TEST(Wire, TruncatedInputNeedsMoreAtEveryPrefix) {
   std::vector<uint8_t> payload;
   m.encode(&payload);
   std::vector<uint8_t> wire;
-  encode_message(MsgType::kError, payload, &wire);
+  encode_message(MsgType::kError, payload.data(), payload.size(), &wire);
   for (size_t len = 0; len < wire.size(); ++len) {
-    WireMessage msg;
+    WireView msg;
     size_t consumed = 123;
     EXPECT_EQ(decode_message(wire.data(), len, &msg, &consumed),
               WireStatus::kNeedMore)
@@ -290,8 +290,8 @@ TEST(Wire, TruncatedInputNeedsMoreAtEveryPrefix) {
 
 TEST(Wire, MalformedHeadersGetTypedErrors) {
   std::vector<uint8_t> wire;
-  encode_message(MsgType::kBye, {}, &wire);
-  WireMessage msg;
+  encode_message(MsgType::kBye, nullptr, 0, &wire);
+  WireView msg;
   size_t consumed = 0;
 
   auto corrupted = wire;
@@ -320,7 +320,7 @@ TEST(Wire, MalformedHeadersGetTypedErrors) {
   std::vector<uint8_t> payload;
   hello.encode(&payload);
   std::vector<uint8_t> framed;
-  encode_message(MsgType::kHello, payload, &framed);
+  encode_message(MsgType::kHello, payload.data(), payload.size(), &framed);
   framed.back() ^= 0x01;  // payload corruption
   EXPECT_EQ(decode_message(framed.data(), framed.size(), &msg, &consumed),
             WireStatus::kBadCrc);
@@ -335,7 +335,7 @@ TEST(Wire, FuzzNeverCrashesAndNeverOverreads) {
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<uint8_t> buf(static_cast<size_t>(len(rng)));
     for (auto& b : buf) b = static_cast<uint8_t>(byte(rng));
-    WireMessage msg;
+    WireView msg;
     size_t consumed = 0;
     const WireStatus status = decode_message(buf.data(), buf.size(), &msg, &consumed);
     if (status == WireStatus::kOk) {
@@ -352,11 +352,11 @@ TEST(Wire, FuzzNeverCrashesAndNeverOverreads) {
   std::vector<uint8_t> payload;
   hello.encode(&payload);
   std::vector<uint8_t> wire;
-  encode_message(MsgType::kHello, payload, &wire);
+  encode_message(MsgType::kHello, payload.data(), payload.size(), &wire);
   for (size_t i = 0; i < wire.size(); ++i) {
     auto corrupted = wire;
     corrupted[i] ^= 0x40;
-    WireMessage msg;
+    WireView msg;
     size_t consumed = 0;
     const WireStatus status =
         decode_message(corrupted.data(), corrupted.size(), &msg, &consumed);
@@ -561,7 +561,7 @@ TEST(Codec, RoundTripAcrossShapesAndContent) {
       // Raw fallback bounds every blob near the raw size (6-byte header).
       EXPECT_LE(blob.size(), 6u + img.pixel_count() * 4);
       ImageU8 back;
-      ASSERT_EQ(decode_frame(blob.data(), blob.size(), &back), CodecStatus::kOk);
+      ASSERT_EQ(decode_frame(blob, &back), CodecStatus::kOk);
       EXPECT_TRUE(images_equal(img, back)) << wh[0] << "x" << wh[1];
     }
   }
@@ -631,7 +631,7 @@ TEST(Codec, EncodeAppendIntoReusedBufferIsBitIdentical) {
     for (int i = 0; i < 13; ++i) EXPECT_EQ(reused[static_cast<size_t>(i)], 0xEE);
 
     ImageU8 decoded;
-    ASSERT_EQ(decoder.decode(reused.data() + 13, reused.size() - 13, &decoded),
+    ASSERT_EQ(decoder.decode({reused.data() + 13, reused.size() - 13}, &decoded),
               CodecStatus::kOk);
     EXPECT_TRUE(images_equal(decoded, frame)) << "frame " << f;
   }
@@ -656,7 +656,7 @@ TEST(Codec, CorruptInputsReturnTypedErrorsWithoutPoisoningState) {
   // not disturb the decoder's previous-frame state.
   for (size_t cut = 0; cut < blob1.size(); ++cut) {
     ImageU8 scratch;
-    EXPECT_NE(decoder.decode(blob1.data(), cut, &scratch), CodecStatus::kOk)
+    EXPECT_NE(decoder.decode({blob1.data(), cut}, &scratch), CodecStatus::kOk)
         << "cut " << cut;
   }
   ImageU8 ok;
@@ -683,14 +683,14 @@ TEST(Codec, CorruptInputsReturnTypedErrorsWithoutPoisoningState) {
     std::vector<uint8_t> tiny = {1, 0, 1, 0};  // ends mid-header
     ImageU8 scratch;
     FrameDecoder fresh;
-    EXPECT_EQ(fresh.decode(tiny.data(), tiny.size(), &scratch),
+    EXPECT_EQ(fresh.decode(tiny, &scratch),
               CodecStatus::kTruncated);
   }
   {
     std::vector<uint8_t> zero = {0, 0, 0, 0, 0, 0};  // 0x0 dimensions
     ImageU8 scratch;
     FrameDecoder fresh;
-    EXPECT_EQ(fresh.decode(zero.data(), zero.size(), &scratch),
+    EXPECT_EQ(fresh.decode(zero, &scratch),
               CodecStatus::kBadDimensions);
   }
   {
@@ -698,7 +698,7 @@ TEST(Codec, CorruptInputsReturnTypedErrorsWithoutPoisoningState) {
     padded.push_back(0xAB);
     ImageU8 scratch;
     FrameDecoder fresh;
-    EXPECT_EQ(fresh.decode(padded.data(), padded.size(), &scratch),
+    EXPECT_EQ(fresh.decode(padded, &scratch),
               CodecStatus::kTrailingBytes);
   }
 }
@@ -713,7 +713,7 @@ TEST(Codec, FuzzRandomBlobsNeverCrash) {
     std::vector<uint8_t> blob(static_cast<size_t>(len(rng)));
     for (auto& b : blob) b = static_cast<uint8_t>(byte(rng));
     ImageU8 out;
-    if (decoder.decode(blob.data(), blob.size(), &out) == CodecStatus::kOk) {
+    if (decoder.decode(blob, &out) == CodecStatus::kOk) {
       ++decoded_ok;  // possible (tiny raw frames), must stay in-bounds
       EXPECT_GT(out.pixel_count(), 0u);
     }
@@ -1112,7 +1112,7 @@ TEST(Net, GarbageBytesGetTypedErrorThenClose) {
     if (n > 0) have += static_cast<size_t>(n);
   }
   ASSERT_TRUE(got_eof);
-  WireMessage msg;
+  WireView msg;
   size_t consumed = 0;
   ASSERT_EQ(decode_message(in.data(), have, &msg, &consumed), WireStatus::kOk);
   EXPECT_EQ(msg.type, MsgType::kError);
@@ -1134,7 +1134,7 @@ TEST(Net, RequestBeforeHelloIsRejected) {
   req.camera = Camera::orbit({32, 32, 32}, 0.1, 0.3);
   std::vector<uint8_t> payload, wire;
   req.encode(&payload);
-  encode_message(MsgType::kRenderRequest, payload, &wire);
+  encode_message(MsgType::kRenderRequest, payload.data(), payload.size(), &wire);
   ASSERT_GT(::send(fd.get(), wire.data(), wire.size(), 0), 0);
 
   std::vector<uint8_t> in(4096);
@@ -1147,7 +1147,7 @@ TEST(Net, RequestBeforeHelloIsRejected) {
     if (n > 0) have += static_cast<size_t>(n);
   }
   ASSERT_TRUE(got_eof);
-  WireMessage msg;
+  WireView msg;
   size_t consumed = 0;
   ASSERT_EQ(decode_message(in.data(), have, &msg, &consumed), WireStatus::kOk);
   EXPECT_EQ(msg.type, MsgType::kError);
@@ -1169,7 +1169,7 @@ TEST(Net, HelloVersionMismatchGetsTypedErrorThenClose) {
   hello.name = "from-the-future";
   std::vector<uint8_t> payload, wire;
   hello.encode(&payload);
-  encode_message(MsgType::kHello, payload, &wire);
+  encode_message(MsgType::kHello, payload.data(), payload.size(), &wire);
   ASSERT_GT(::send(fd.get(), wire.data(), wire.size(), 0), 0);
 
   std::vector<uint8_t> in(4096);
@@ -1182,7 +1182,7 @@ TEST(Net, HelloVersionMismatchGetsTypedErrorThenClose) {
     if (n > 0) have += static_cast<size_t>(n);
   }
   ASSERT_TRUE(got_eof);
-  WireMessage msg;
+  WireView msg;
   size_t consumed = 0;
   ASSERT_EQ(decode_message(in.data(), have, &msg, &consumed), WireStatus::kOk);
   EXPECT_EQ(msg.type, MsgType::kError);

@@ -232,7 +232,7 @@ TEST(SpanRecorder, DumpJsonParsesAndWallAnchorsTimestamps) {
 
   JsonValue doc;
   std::string error;
-  ASSERT_TRUE(json_parse(rec.dump_json("unit"), &doc, &error)) << error;
+  ASSERT_TRUE(json_parse(trace_dump_json(&rec, "unit"), &doc, &error)) << error;
   EXPECT_EQ(doc.find("node")->as_string(), "unit");
   EXPECT_EQ(doc.find("recorded")->as_u64(), 1u);
   const JsonValue* spans = doc.find("spans");

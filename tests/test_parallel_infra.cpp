@@ -126,9 +126,36 @@ TEST(StealQueues, EveryScanlineProcessedExactlyOnceUnderContention) {
   }
 }
 
+// The partition helpers write into caller-owned storage; these wrap them
+// for value-style assertions.
+std::vector<uint64_t> cumulative(const std::vector<uint32_t>& cost) {
+  std::vector<uint64_t> out;
+  prefix_sum_into(cost, &out);
+  return out;
+}
+
+std::vector<uint64_t> cumulative_parallel(const std::vector<uint32_t>& cost,
+                                          Executor& exec) {
+  PartitionScratch scratch;
+  prefix_sum_parallel_into(cost, exec, &scratch);
+  return scratch.cum;
+}
+
+std::vector<int> balanced(const std::vector<uint64_t>& cum, int procs) {
+  std::vector<int> bounds;
+  balanced_partition_into(cum, procs, &bounds);
+  return bounds;
+}
+
+std::vector<int> uniform(int n, int procs) {
+  std::vector<int> bounds;
+  uniform_partition_into(n, procs, &bounds);
+  return bounds;
+}
+
 TEST(PrefixSum, MatchesManualSum) {
   const std::vector<uint32_t> cost{3, 0, 5, 2, 7};
-  const auto out = prefix_sum(cost);
+  const auto out = cumulative(cost);
   EXPECT_EQ(out, (std::vector<uint64_t>{0, 3, 3, 8, 10, 17}));
 }
 
@@ -139,7 +166,7 @@ TEST(PrefixSum, ParallelMatchesSerial) {
     for (int n : {0, 1, 5, 64, 1000}) {
       std::vector<uint32_t> cost(n);
       for (auto& c : cost) c = static_cast<uint32_t>(rng.below(1000));
-      EXPECT_EQ(prefix_sum_parallel(cost, exec), prefix_sum(cost))
+      EXPECT_EQ(cumulative_parallel(cost, exec), cumulative(cost))
           << "procs=" << procs << " n=" << n;
     }
   }
@@ -150,12 +177,12 @@ TEST(PrefixSum, ParallelMatchesSerialOnThreads) {
   std::vector<uint32_t> cost(4096);
   for (auto& c : cost) c = static_cast<uint32_t>(rng.below(100));
   ThreadedExecutor exec(6);
-  EXPECT_EQ(prefix_sum_parallel(cost, exec), prefix_sum(cost));
+  EXPECT_EQ(cumulative_parallel(cost, exec), cumulative(cost));
 }
 
 TEST(BalancedPartition, UniformCostSplitsEvenly) {
   std::vector<uint32_t> cost(100, 10);
-  const auto bounds = balanced_partition(prefix_sum(cost), 4);
+  const auto bounds = balanced(cumulative(cost), 4);
   EXPECT_EQ(bounds, (std::vector<int>{0, 25, 50, 75, 100}));
 }
 
@@ -163,7 +190,7 @@ TEST(BalancedPartition, SkewedCostShrinksExpensiveSide) {
   // All the cost in the first 10 scanlines.
   std::vector<uint32_t> cost(100, 0);
   for (int i = 0; i < 10; ++i) cost[i] = 100;
-  const auto bounds = balanced_partition(prefix_sum(cost), 5);
+  const auto bounds = balanced(cumulative(cost), 5);
   // The first partitions must be narrow (2 scanlines each).
   EXPECT_LE(bounds[1], 3);
   EXPECT_LE(bounds[4], 11);
@@ -176,7 +203,7 @@ TEST(BalancedPartition, MonotoneAndCovering) {
     const int procs = 1 + static_cast<int>(rng.below(32));
     std::vector<uint32_t> cost(n);
     for (auto& c : cost) c = static_cast<uint32_t>(rng.below(50));
-    const auto bounds = balanced_partition(prefix_sum(cost), procs);
+    const auto bounds = balanced(cumulative(cost), procs);
     ASSERT_EQ(static_cast<int>(bounds.size()), procs + 1);
     ASSERT_EQ(bounds.front(), 0);
     ASSERT_EQ(bounds.back(), n);
@@ -186,7 +213,7 @@ TEST(BalancedPartition, MonotoneAndCovering) {
 
 TEST(BalancedPartition, ZeroCostFallsBackToUniform) {
   std::vector<uint32_t> cost(40, 0);
-  EXPECT_EQ(balanced_partition(prefix_sum(cost), 4), uniform_partition(40, 4));
+  EXPECT_EQ(balanced(cumulative(cost), 4), uniform(40, 4));
 }
 
 TEST(BalancedPartition, BalanceBeatsUniformOnBellProfile) {
@@ -197,15 +224,13 @@ TEST(BalancedPartition, BalanceBeatsUniformOnBellProfile) {
     const double x = (i - n / 2.0) / (n / 5.0);
     cost[i] = static_cast<uint32_t>(1000.0 * std::exp(-x * x));
   }
-  const auto cum = prefix_sum(cost);
-  const double balanced = partition_imbalance(cum, balanced_partition(cum, 8));
-  const double uniform = partition_imbalance(cum, uniform_partition(n, 8));
-  EXPECT_LT(balanced, 0.10);
-  EXPECT_GT(uniform, 0.5);
+  const auto cum = cumulative(cost);
+  EXPECT_LT(partition_imbalance(cum, balanced(cum, 8)), 0.10);
+  EXPECT_GT(partition_imbalance(cum, uniform(n, 8)), 0.5);
 }
 
 TEST(UniformPartition, CoversExactly) {
-  const auto bounds = uniform_partition(10, 3);
+  const auto bounds = uniform(10, 3);
   EXPECT_EQ(bounds.front(), 0);
   EXPECT_EQ(bounds.back(), 10);
   int total = 0;

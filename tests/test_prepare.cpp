@@ -99,8 +99,10 @@ INSTANTIATE_TEST_SUITE_P(Kinds, SeedPinned, ::testing::Values("mri", "ct"));
 
 // --- Parallel pipeline vs serial, across thread counts and phantoms ------
 
+// std::string, not const char*, keeps the printed test name free of a
+// run-dependent pointer address.
 class ParallelIdentity
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ParallelIdentity, PrepareVolumeBitIdenticalToSerial) {
   const std::string kind = std::get<0>(GetParam());
@@ -137,7 +139,8 @@ TEST_P(ParallelIdentity, PrepareVolumeBitIdenticalToSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KindsThreads, ParallelIdentity,
-                         ::testing::Combine(::testing::Values("mri", "ct"),
+                         ::testing::Combine(::testing::Values(std::string("mri"),
+                                                              std::string("ct")),
                                             ::testing::Values(1, 4, 16)));
 
 // --- Chunked encoding: seams, fragments, stitching -----------------------
