@@ -16,11 +16,16 @@
 #      frame-delivery functions that bench/memserve pins at 0 allocs/frame
 #      must contain no new-expressions or make_unique/make_shared calls,
 #      and the strictly in-place subset must not even grow a container.
+#   5. One metrics definition — a "psw_ metric-name string literal appears
+#      only in the Prometheus sink (src/obs/export.cpp), which derives every
+#      series name from the metrics listings; a hand-written second list of
+#      names is an error.
 #
-# Rules 1-3 are plain grep/awk and always run. Rule 4 needs clang-query
-# (clang-tools); like scripts/lint.sh, it skips gracefully with a notice
-# when the binary is absent so the script works on minimal toolchains —
-# the GitHub workflow installs clang-tools and gets the real run.
+# Rules 1-3 and 5 are plain grep/awk and always run. Rule 4 needs
+# clang-query (clang-tools); like scripts/lint.sh, it skips gracefully with
+# a notice when the binary is absent so the script works on minimal
+# toolchains — the GitHub workflow installs clang-tools and gets the real
+# run.
 # Usage: scripts/check_invariants.sh [build-dir]  (default: ./invariants-build)
 set -euo pipefail
 
@@ -83,7 +88,7 @@ echo "==> invariant: zero-allocation delivery path (clang-query AST rules)"
 cq=${CLANG_QUERY:-clang-query}
 if ! command -v "$cq" >/dev/null 2>&1; then
   echo "invariants: $cq not found, skipping AST rules (install clang-tools"
-  echo "to run locally; rules 1-3 above still ran)"
+  echo "to run locally; rules 1-3 and 5 still run)"
 else
   cmake -B "$out" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
@@ -141,6 +146,20 @@ else
     echo "invariants: delivery-path AST rules clean over ${#files[@]} files"
   fi
 fi
+
+# ---------------------------------------------------------------- rule 5
+echo "==> invariant: Prometheus metric names only in the metrics sink"
+while IFS= read -r f; do
+  hits=$(sed 's@//.*@@' "$f" | grep -n '"psw_' || true)
+  if [ -n "$hits" ]; then
+    echo "FAIL: hand-written Prometheus metric name in $f:"
+    echo "$hits" | sed 's/^/  /'
+    echo "  (list the quantity in its struct's export_to(obs::MetricSink&);"
+    echo "   the sink derives the series name from its JSON path)"
+    fail=1
+  fi
+done < <(find "$root/src" "$root/tools" "$root/bench" "$root/examples" \
+           \( -name '*.hpp' -o -name '*.cpp' \) ! -path '*/obs/export.cpp' | sort)
 
 if [ "$fail" -ne 0 ]; then
   echo "INVARIANTS FAILED"

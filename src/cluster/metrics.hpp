@@ -4,7 +4,7 @@
 // routed requests/streams, forwarded frames, re-routes, probe failures,
 // ejections) are plain atomics written by the poll thread and readable from
 // any thread. Per-shard service/net metrics arrive as the JSON documents the
-// shards' own kMetricsReply returns to the health prober; the aggregator
+// shards' own kMetricsReply returns to the health prober; the listing
 // embeds each verbatim and rolls a few headline fields up into cluster-wide
 // sums, while router-observed per-shard frame latencies (the server-side
 // total_ms carried in every forwarded FrameMsg) are combined with
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "util/histogram.hpp"
 
 namespace psw::cluster {
@@ -45,6 +46,17 @@ struct ShardCounters {
   std::atomic<int64_t> inflight_requests{0};  // gauge: routed, not yet replied
   std::atomic<int64_t> active_streams{0};     // gauge: open stream proxies
   LatencyHistogram frame_latency_ms;  // server total_ms of forwarded frames
+
+  void export_to(obs::MetricSink& sink) const;
+};
+
+// One shard's contribution to the aggregated document.
+struct ShardSnapshot {
+  std::string id;
+  ShardState state = ShardState::kConnecting;
+  int weight = 1;
+  bool in_ring = false;
+  std::string metrics_json;  // last kMetricsReply payload; may be empty
 };
 
 struct RouterMetrics {
@@ -66,23 +78,16 @@ struct RouterMetrics {
   std::atomic<uint64_t> metrics_served{0};     // aggregated endpoint hits
   std::atomic<uint64_t> reroutes{0};           // session re-pinned after loss
   std::atomic<uint64_t> unavailable_rejections{0};  // no eligible shard
+  // Payload bytes copied while relaying messages (Transport::forward), in
+  // both directions: one copy per relayed message.
+  std::atomic<uint64_t> payload_copy_bytes{0};
 
   std::vector<std::unique_ptr<ShardCounters>> shards;
-};
 
-// One shard's contribution to the aggregated document.
-struct ShardSnapshot {
-  std::string id;
-  ShardState state = ShardState::kConnecting;
-  int weight = 1;
-  bool in_ring = false;
-  std::string metrics_json;  // last kMetricsReply payload; may be empty
+  // Lists the router counters with a merged cluster-wide latency
+  // histogram, cluster rollups summed from the shard documents, and per
+  // shard its counters, state and the embedded shard metrics document.
+  void export_to(obs::MetricSink& sink, const std::vector<ShardSnapshot>& snaps) const;
 };
-
-// Builds the aggregated cluster metrics document: router counters, a merged
-// cluster-wide latency histogram, per-shard counters + state + the embedded
-// shard metrics JSON, and cluster rollups summed from the shard documents.
-std::string aggregate_metrics_json(const RouterMetrics& m,
-                                   const std::vector<ShardSnapshot>& shards);
 
 }  // namespace psw::cluster

@@ -96,7 +96,7 @@ bool Router::set_drain(const std::string& shard_id, bool draining) {
   return false;
 }
 
-std::string Router::metrics_json() const {
+void Router::export_metrics(obs::MetricSink& sink) const {
   std::vector<ShardSnapshot> snaps(specs_.size());
   {
     MutexLock lock(snapshot_mutex_);
@@ -110,48 +110,16 @@ std::string Router::metrics_json() const {
     snaps[i].state = shard_state(i);
     snaps[i].in_ring = snaps[i].state == ShardState::kHealthy;
   }
-  return aggregate_metrics_json(metrics_, snaps);
+  metrics_.export_to(sink, snaps);
+  obs::export_recorder(sink, options_.recorder);
+}
+
+std::string Router::metrics_json() const {
+  return obs::render_json([&](obs::MetricSink& s) { export_metrics(s); });
 }
 
 std::string Router::prometheus_text() const {
-  obs::PromText p;
-  p.counter("psw_router_clients_accepted_total", "Client connections accepted",
-            metrics_.clients_accepted.load());
-  p.counter("psw_router_clients_closed_total", "Client connections closed",
-            metrics_.clients_closed.load());
-  p.counter("psw_router_clients_rejected_total",
-            "Client connections rejected at the accept cap",
-            metrics_.clients_rejected.load());
-  p.counter("psw_router_protocol_errors_total", "Framing/decode failures",
-            metrics_.protocol_errors.load());
-  p.counter("psw_router_requests_routed_total", "Render requests routed",
-            metrics_.requests_routed.load());
-  p.counter("psw_router_streams_routed_total", "Streams routed",
-            metrics_.streams_routed.load());
-  p.counter("psw_router_frames_forwarded_total", "Frames forwarded",
-            metrics_.frames_forwarded.load());
-  p.counter("psw_router_reroutes_total", "Sessions re-pinned after shard loss",
-            metrics_.reroutes.load());
-  p.counter("psw_router_unavailable_total",
-            "Requests rejected with no eligible shard",
-            metrics_.unavailable_rejections.load());
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    const ShardCounters& c = *metrics_.shards[i];
-    const std::string label = "shard=\"" + specs_[i].id + "\"";
-    p.counter("psw_router_shard_requests_total", "Requests routed per shard",
-              c.routed_requests.load(), label);
-    p.counter("psw_router_shard_frames_total", "Frames forwarded per shard",
-              c.forwarded_frames.load(), label);
-    p.counter("psw_router_shard_ejections_total", "Shard ejections",
-              c.ejections.load(), label);
-    p.gauge("psw_router_shard_inflight", "Routed, unanswered requests",
-            static_cast<double>(c.inflight_requests.load()), label);
-    p.summary_ms("psw_router_shard_frame_latency_ms",
-                 "Server total_ms of forwarded frames", c.frame_latency_ms,
-                 label);
-  }
-  p.recorder_counters(options_.recorder);
-  return p.str();
+  return obs::render_prometheus([&](obs::MetricSink& s) { export_metrics(s); });
 }
 
 std::string Router::trace_dump_json() const {
@@ -474,7 +442,7 @@ void Router::route_request(ClientConn& conn, const net::WireView& msg) {
     c.routed_requests.fetch_add(1);
     c.inflight_requests.fetch_add(1);
   }
-  up->link.forward(msg, pool_);
+  up->link.forward(msg, pool_, &metrics_.payload_copy_bytes);
 }
 
 void Router::send_client_error(ClientConn& conn, uint64_t request_id,
@@ -582,7 +550,7 @@ bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
   }
   // Forward at once rather than at the end of the poll pass: a burst of
   // frames then holds one pooled payload at a time, not one per frame.
-  conn.link.forward(msg, pool_);
+  conn.link.forward(msg, pool_, &metrics_.payload_copy_bytes);
   conn.link.flush(nullptr);
   return true;
 }

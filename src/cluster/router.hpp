@@ -44,7 +44,7 @@
 #include "cluster/metrics.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
-#include "obs/trace.hpp"
+#include "obs/export.hpp"
 #include "serve/request.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/sync.hpp"
@@ -116,11 +116,14 @@ class Router {
   // thread on its next wakeup (the call itself never blocks on it).
   bool set_drain(const std::string& shard_id, bool draining);
 
-  // The aggregated cluster metrics document (also served to any client
-  // sending kMetricsRequest).
+  // Lists the router's counters, the cluster rollups, every shard's
+  // counters with its embedded metrics document, and the span recorder's
+  // counters.
+  void export_metrics(obs::MetricSink& sink) const;
+  // That listing as the aggregated cluster metrics document (also served
+  // to any client sending kMetricsRequest) and as the Prometheus text
+  // exposition (kMetricsSelectorPrometheus).
   std::string metrics_json() const;
-
-  // Router-level Prometheus text exposition (kMetricsSelectorPrometheus).
   std::string prometheus_text() const;
 
   // Span-dump JSON from the configured recorder (kMetricsSelectorTrace);

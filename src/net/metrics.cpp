@@ -1,37 +1,34 @@
 #include "net/metrics.hpp"
 
-#include "util/json.hpp"
+#include "obs/export.hpp"
 
 namespace psw::net {
 
-void NetMetrics::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.key("connections").begin_object()
-      .field("accepted", connections_accepted.load())
-      .field("closed", connections_closed.load())
-      .field("rejected", connections_rejected.load())
-      .field("idle_timeouts", idle_timeouts.load())
-      .field("protocol_errors", protocol_errors.load())
-      .end_object();
-  w.key("traffic").begin_object()
-      .field("requests_received", requests_received.load())
-      .field("streams_opened", streams_opened.load())
-      .field("streams_completed", streams_completed.load())
-      .field("errors_sent", errors_sent.load())
-      .field("bytes_in", bytes_in.load())
-      .field("bytes_out", bytes_out.load())
-      .end_object();
-  w.key("frames").begin_object()
-      .field("sent", frames_sent.load())
-      .field("dropped", frames_dropped.load())
-      .field("orphaned_completions", orphaned_completions.load())
-      .field("raw_bytes", frame_raw_bytes.load())
-      .field("wire_bytes", frame_wire_bytes.load())
-      .field("wire_ratio", wire_ratio())
-      .field("copy_bytes", frame_copy_bytes.load())
-      .field("bytes_copied_per_frame", bytes_copied_per_frame())
-      .end_object();
-  w.end_object();
+void NetMetrics::export_to(obs::MetricSink& s) const {
+  s.begin("connections");
+  s.counter("accepted", "Connections accepted", connections_accepted.load());
+  s.counter("closed", "Connections closed", connections_closed.load());
+  s.counter("rejected", "Refused at max_connections", connections_rejected.load());
+  s.counter("idle_timeouts", "Connections closed idle", idle_timeouts.load());
+  s.counter("protocol_errors", "Framing/decode failures", protocol_errors.load());
+  s.end();
+  s.begin("traffic");
+  s.counter("requests_received", "One-shot render requests", requests_received.load());
+  s.counter("streams_opened", "Streams opened", streams_opened.load());
+  s.counter("streams_completed", "Streams completed", streams_completed.load());
+  s.counter("errors_sent", "kError replies", errors_sent.load());
+  s.counter("bytes_in", "Bytes received", bytes_in.load());
+  s.counter("bytes_out", "Bytes sent", bytes_out.load());
+  s.end();
+  s.begin("frames");
+  s.counter("sent", "Frames delivered", frames_sent.load());
+  s.counter("dropped", "Frames shed by backpressure", frames_dropped.load());
+  s.counter("orphaned_completions", "Completions whose connection was gone",
+            orphaned_completions.load());
+  s.counter("raw_bytes", "Raw RGBA bytes of sent frames", frame_raw_bytes.load());
+  s.counter("wire_bytes", "Encoded blob bytes sent", frame_wire_bytes.load());
+  s.gauge("wire_ratio", "Wire bytes per raw byte of sent frames", wire_ratio());
+  s.end();
 }
 
 }  // namespace psw::net

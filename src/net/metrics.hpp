@@ -4,16 +4,14 @@
 // orphaned-completion path writes from the render scheduler thread. The
 // codec's effectiveness is tracked as bytes-on-the-wire vs the raw RGBA
 // bytes of every frame actually sent — the headline number the frame codec
-// exists to shrink.
+// exists to shrink. export_to() lists every quantity once for both the
+// JSON document and Prometheus (obs::MetricSink).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
-namespace psw {
-class JsonWriter;
-}
+#include "obs/export.hpp"
 
 namespace psw::net {
 
@@ -44,12 +42,6 @@ struct NetMetrics {
   std::atomic<uint64_t> frame_raw_bytes{0};   // width*height*4 per sent frame
   std::atomic<uint64_t> frame_wire_bytes{0};  // encoded blob bytes
 
-  // Bytes of an already-encoded frame copied into another buffer on the way
-  // to the socket. The zero-copy send path (pooled payloads + writev) never
-  // increments this — encoded bytes go codec -> payload -> kernel — so any
-  // nonzero value flags a regression to flat-buffer copying.
-  std::atomic<uint64_t> frame_copy_bytes{0};
-
   // Wire bytes per raw byte for sent frames (1.0 when nothing was sent,
   // i.e. "no savings yet", so thresholds compare conservatively).
   double wire_ratio() const {
@@ -60,16 +52,7 @@ struct NetMetrics {
     return raw == 0 ? 1.0 : static_cast<double>(wire) / static_cast<double>(raw);
   }
 
-  // Post-encode copy cost per delivered frame; 0.0 on the zero-copy path.
-  double bytes_copied_per_frame() const {
-    // relaxed: advisory ratio, same rationale as wire_ratio().
-    const uint64_t sent = frames_sent.load(std::memory_order_relaxed);
-    const uint64_t copied = frame_copy_bytes.load(std::memory_order_relaxed);
-    return sent == 0 ? 0.0 : static_cast<double>(copied) / static_cast<double>(sent);
-  }
-
-  // Writes one JSON object at the writer's current value slot.
-  void write_json(JsonWriter& w) const;
+  void export_to(obs::MetricSink& sink) const;
 };
 
 }  // namespace psw::net

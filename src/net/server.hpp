@@ -94,12 +94,13 @@ class NetServer {
   const NetMetrics& metrics() const { return metrics_; }
   PoolStats pool_stats() const { return pool_.stats(); }
 
-  // One JSON object combining the render service's metrics with the
-  // network layer's (the document netserve flushes on shutdown).
+  // Lists the render service's metrics, the network layer's, the payload
+  // pool's and the span recorder's counters.
+  void export_metrics(obs::MetricSink& sink) const;
+  // That listing as one JSON object (the document netserve flushes on
+  // shutdown) and as the Prometheus text exposition
+  // (kMetricsSelectorPrometheus).
   std::string metrics_json() const;
-
-  // Prometheus text exposition of the same counters/histograms (the
-  // kMetricsSelectorPrometheus document).
   std::string prometheus_text() const;
 
   // Span-dump JSON from the configured recorder (kMetricsSelectorTrace);

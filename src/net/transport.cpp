@@ -119,9 +119,11 @@ SendItem& Transport::send(MsgType type, PooledBuffer&& payload) {
   return item;
 }
 
-void Transport::forward(const WireView& msg, BufferPool& pool) {
+void Transport::forward(const WireView& msg, BufferPool& pool,
+                        std::atomic<uint64_t>* copied_bytes) {
   PooledBuffer payload = pool.acquire(msg.payload.size());
   payload.vec().assign(msg.payload.begin(), msg.payload.end());
+  if (copied_bytes) copied_bytes->fetch_add(msg.payload.size());
   SendItem& item = sendq_.emplace_back();
   std::memcpy(item.header.data(), msg.header, kHeaderSize);
   queued_bytes_ += kHeaderSize + msg.payload.size();

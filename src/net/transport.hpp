@@ -104,8 +104,10 @@ class Transport {
     return send(type, std::move(payload));
   }
   // Queues a decoded message unchanged: its header bytes verbatim and one
-  // copy of its payload in a pooled buffer.
-  void forward(const WireView& msg, BufferPool& pool);
+  // copy of its payload in a pooled buffer. Adds the bytes copied to
+  // *copied_bytes (if given).
+  void forward(const WireView& msg, BufferPool& pool,
+               std::atomic<uint64_t>* copied_bytes);
   // Sends queued output until the queue drains or the kernel pushes back,
   // adding the bytes sent to *bytes_out (if given). kClosed drops the
   // backlog, and every later flush reports it again.

@@ -1,6 +1,8 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
@@ -12,69 +14,136 @@ namespace psw::obs {
 
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+class JsonSink final : public MetricSink {
+ public:
+  explicit JsonSink(JsonWriter& w) : w_(w) {}
+  void begin(const char* key) override { w_.key(key).begin_object(); }
+  void begin_list(const char* key) override { w_.key(key).begin_array(); }
+  void begin_item(const char* id_key, const char*, const std::string& id) override {
+    w_.begin_object().field(id_key, id);
+  }
+  void end() override { w_.end_object(); }
+  void end_list() override { w_.end_array(); }
+  void counter(const char* key, const char*, uint64_t v) override { w_.field(key, v); }
+  void gauge(const char* key, const char*, Value v) override {
+    std::visit([&](auto x) { w_.field(key, x); }, v);
+  }
+  void histogram(const char* key, const char*, const LatencyHistogram& h) override {
+    h.write_json(w_.key(key));
+  }
+  void raw(const char* key, const std::string& json) override {
+    w_.key(key).raw(json.empty() ? "null" : json);
+  }
+
+ private:
+  JsonWriter& w_;
+};
+
+// Each family (HELP, TYPE, samples) is kept whole, keyed and so ordered by
+// name: the format wants every line of one metric together, and list items
+// interleave them.
+class PromSink final : public MetricSink {
+ public:
+  void begin(const char* key) override { path_.push_back(key); }
+  void begin_list(const char* key) override { path_.push_back(key); }
+  void begin_item(const char*, const char* label, const std::string& id) override {
+    path_.emplace_back();  // an item adds a label, not a name segment
+    label_ = std::string(label) + "=" + json_quote(id);
+  }
+  void end() override {
+    if (path_.back().empty()) label_.clear();
+    path_.pop_back();
+  }
+  void end_list() override { path_.pop_back(); }
+  void counter(const char* key, const char* help, uint64_t v) override {
+    const std::string name = family(key, "_total", help, "counter");
+    sample(name, name, "", v);
+  }
+  void gauge(const char* key, const char* help, Value v) override {
+    const std::string name = family(key, "", help, "gauge");
+    sample(name, name, "", v);
+  }
+  void histogram(const char* key, const char* help, const LatencyHistogram& h) override {
+    const std::string name = family(key, "", help, "summary");
+    for (const ExportQuantile& q : kExportQuantiles) {
+      sample(name, name, "quantile=\"" + number(q.q) + "\"", h.quantile_ms(q.q));
+    }
+    sample(name, name, "quantile=\"1\"", h.max_ms());
+    sample(name, name + "_sum", "", h.sum_ms());
+    sample(name, name + "_count", "", h.count());
+  }
+  void raw(const char*, const std::string&) override {}
+
+  std::string str() const {
+    std::string out;
+    for (const auto& [name, text] : families_) out += text;
+    return out;
+  }
+
+ private:
+  // Integers exactly (a bool as 0/1), doubles in shortest round-trip form.
+  static std::string number(Value v) {
+    return std::visit(
+        [](auto x) {
+          char buf[32];
+          return std::string(buf, std::to_chars(buf, buf + sizeof(buf), +x).ptr);
+        },
+        v);
+  }
+
+  // The name of `key` under the open path; starts its family with the HELP
+  // and TYPE lines.
+  std::string family(const char* key, const char* suffix, const char* help, const char* type) {
+    std::string name = "psw";
+    for (const std::string& segment : path_) name += segment.empty() ? "" : "_" + segment;
+    name += std::string("_") + key + suffix;
+    std::string& text = families_[name];
+    if (text.empty()) {
+      text = "# HELP " + name + " " + help + "\n# TYPE " + name + " " + type + "\n";
+    }
+    return name;
+  }
+
+  // One sample line of `family`, labelled with the open item's label and `extra`.
+  void sample(const std::string& family, const std::string& name, const std::string& extra,
+              Value v) {
+    const std::string labels = label_ + (label_.empty() || extra.empty() ? "" : ",") + extra;
+    families_[family] +=
+        name + (labels.empty() ? "" : "{" + labels + "}") + " " + number(v) + "\n";
+  }
+
+  std::vector<std::string> path_;
+  std::string label_;  // the open list item's label
+  std::map<std::string, std::string> families_;
+};
 
 }  // namespace
 
-void PromText::header(const std::string& name, const std::string& help,
-                      const char* type) {
-  for (const auto& s : seen_) {
-    if (s == name) return;
-  }
-  seen_.push_back(name);
-  out_ += "# HELP " + name + " " + help + "\n";
-  out_ += "# TYPE " + name + " " + std::string(type) + "\n";
+void write_json(JsonWriter& w, FunctionRef<void(MetricSink&)> fill) {
+  JsonSink sink(w);
+  fill(sink);
 }
 
-void PromText::sample(const std::string& name, const std::string& labels,
-                      double v) {
-  out_ += name;
-  if (!labels.empty()) {
-    out_ += '{';
-    out_ += labels;
-    out_ += '}';
-  }
-  out_ += ' ';
-  out_ += num(v);
-  out_ += '\n';
+std::string render_json(FunctionRef<void(MetricSink&)> fill) {
+  JsonWriter w;
+  w.begin_object();
+  write_json(w, fill);
+  w.end_object();
+  return w.str();
 }
 
-void PromText::counter(const std::string& name, const std::string& help,
-                       uint64_t v, const std::string& labels) {
-  header(name, help, "counter");
-  sample(name, labels, static_cast<double>(v));
+std::string render_prometheus(FunctionRef<void(MetricSink&)> fill) {
+  PromSink sink;
+  fill(sink);
+  return sink.str();
 }
 
-void PromText::gauge(const std::string& name, const std::string& help,
-                     double v, const std::string& labels) {
-  header(name, help, "gauge");
-  sample(name, labels, v);
-}
-
-void PromText::recorder_counters(const SpanRecorder* recorder) {
+void export_recorder(MetricSink& sink, const SpanRecorder* recorder) {
   if (recorder == nullptr) return;
-  counter("psw_trace_spans_recorded_total", "Spans recorded", recorder->recorded());
-  counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
-          recorder->overwritten());
-}
-
-void PromText::summary_ms(const std::string& name, const std::string& help,
-                          const LatencyHistogram& h,
-                          const std::string& labels) {
-  header(name, help, "summary");
-  const char* quantiles[] = {"0.5", "0.9", "0.99"};
-  const double qs[] = {0.5, 0.9, 0.99};
-  for (int i = 0; i < 3; ++i) {
-    std::string l = "quantile=\"" + std::string(quantiles[i]) + "\"";
-    if (!labels.empty()) l = labels + "," + l;
-    sample(name, l, h.quantile_ms(qs[i]));
-  }
-  sample(name + "_sum", labels, h.sum_ms());
-  sample(name + "_count", labels, static_cast<double>(h.count()));
+  sink.begin("trace");
+  sink.counter("spans_recorded", "Spans recorded", recorder->recorded());
+  sink.counter("spans_overwritten", "Spans lost to ring wrap", recorder->overwritten());
+  sink.end();
 }
 
 int64_t TraceTree::start_ns() const {

@@ -1,46 +1,58 @@
-// Exporters and reassembly for the tracing subsystem.
+// Metrics export, and reassembly for the tracing subsystem.
 //
-// PromText builds a Prometheus text-exposition document (counters, gauges,
-// and latency summaries from util/histogram.hpp); the serving layers feed
-// it their own metrics structs, keeping obs below serve/net/cluster in the
-// dependency order. assemble_traces/format_trace_tree turn span dumps from
-// any number of processes (router + shards) back into per-request trees
-// with a phase-breakdown table — shared by tools/traceview and the tests.
+// Each metrics struct lists every quantity once, in an
+// export_to(MetricSink&) naming its JSON key, kind and help text; the sinks
+// render that listing as the JSON document and as the Prometheus text
+// exposition. The serving layers own the listings, keeping obs below
+// serve/net/cluster in the dependency order.
+// assemble_traces/format_trace_tree turn span dumps from any number of
+// processes (router + shards) back into per-request trees with a
+// phase-breakdown table — shared by tools/traceview and the tests.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/function_ref.hpp"
 #include "util/histogram.hpp"
+#include "util/json.hpp"
 
 namespace psw::obs {
 
-class PromText {
+// Receives one metrics listing. The Prometheus rendering names a series
+// "psw_" + its JSON path joined by '_' ("_total" on counters) and renders a
+// histogram as one summary: the kExportQuantiles, max as quantile 1, _sum
+// and _count.
+class MetricSink {
  public:
-  // `labels` is the raw label body without braces, e.g. "shard=\"0\"".
-  void counter(const std::string& name, const std::string& help, uint64_t v,
-               const std::string& labels = "");
-  void gauge(const std::string& name, const std::string& help, double v,
-             const std::string& labels = "");
-  // Prometheus summary: q50/q90/q99 quantile samples plus _sum and _count.
-  // Values stay in milliseconds (the unit is in the metric name).
-  void summary_ms(const std::string& name, const std::string& help,
-                  const LatencyHistogram& h, const std::string& labels = "");
-  // The span-recorder counters, when a recorder is attached.
-  void recorder_counters(const SpanRecorder* recorder);
+  using Value = std::variant<uint64_t, int64_t, double, bool>;  // typed as JSON writes it
 
-  const std::string& str() const { return out_; }
-
- private:
-  void header(const std::string& name, const std::string& help,
-              const char* type);
-  void sample(const std::string& name, const std::string& labels, double v);
-
-  std::vector<std::string> seen_;  // names with emitted HELP/TYPE headers
-  std::string out_;
+  virtual ~MetricSink() = default;
+  virtual void begin(const char* key) = 0;  // a nested object, until end()
+  // A list, until end_list(), of items: objects, until end(), whose JSON
+  // member `id_key` is `id` — in Prometheus, the label `label`="id".
+  virtual void begin_list(const char* key) = 0;
+  virtual void begin_item(const char* id_key, const char* label, const std::string& id) = 0;
+  virtual void end() = 0;
+  virtual void end_list() = 0;
+  virtual void counter(const char* key, const char* help, uint64_t v) = 0;
+  virtual void gauge(const char* key, const char* help, Value v) = 0;
+  virtual void histogram(const char* key, const char* help, const LatencyHistogram& h) = 0;
+  // JSON only: a value serialized already, embedded verbatim (null when empty).
+  virtual void raw(const char* key, const std::string& json) = 0;
 };
+
+// The listing `fill` emits: written into the object open in `w`, as one JSON
+// object, or as Prometheus text.
+void write_json(JsonWriter& w, FunctionRef<void(MetricSink&)> fill);
+std::string render_json(FunctionRef<void(MetricSink&)> fill);
+std::string render_prometheus(FunctionRef<void(MetricSink&)> fill);
+
+// The span-recorder counters as a "trace" object; nothing without a recorder.
+void export_recorder(MetricSink& sink, const SpanRecorder* recorder);
 
 // One reassembled request: every span sharing a trace id, deduplicated by
 // span id (the same span can appear in a ring dump and the flight

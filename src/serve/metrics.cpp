@@ -1,6 +1,6 @@
 #include "serve/metrics.hpp"
 
-#include "util/json.hpp"
+#include "obs/export.hpp"
 
 namespace psw::serve {
 
@@ -35,79 +35,63 @@ bool ServiceMetrics::reconciles() const {
   return sub == acc + rej && acc == done && queue_depth.load() == 0;
 }
 
-void write_pool_json(JsonWriter& w, const PoolStats& pool) {
-  w.begin_object()
-      .field("acquires", pool.acquires)
-      .field("hits", pool.hits)
-      .field("misses", pool.misses)
-      .field("releases", pool.releases)
-      .field("discards", pool.discards)
-      .field("outstanding", pool.outstanding)
-      .field("retained", pool.retained)
-      .field("retained_bytes", pool.retained_bytes)
-      .field("hit_rate", pool.hit_rate())
-      .end_object();
+void export_pool(obs::MetricSink& s, const char* key, const PoolStats& pool) {
+  s.begin(key);
+  s.counter("acquires", "Buffers acquired", pool.acquires);
+  s.counter("hits", "Acquires served from a retained buffer", pool.hits);
+  s.counter("misses", "Acquires that allocated fresh storage", pool.misses);
+  s.counter("releases", "Buffers given back", pool.releases);
+  s.counter("discards", "Releases dropped instead of retained", pool.discards);
+  s.gauge("outstanding", "Buffers acquired, not yet released", pool.outstanding);
+  s.gauge("retained", "Buffers held in freelists", pool.retained);
+  s.gauge("retained_bytes", "Capacity held in freelists", pool.retained_bytes);
+  s.gauge("hit_rate", "Share of acquires served from a freelist", pool.hit_rate());
+  s.end();
 }
 
-std::string ServiceMetrics::to_json(const CacheStats& cache, const PoolStats& frame_pool,
-                                    const PoolStats& prepare_pool) const {
-  JsonWriter w;
-  write_json(w, cache, frame_pool, prepare_pool);
-  return w.str();
-}
-
-void ServiceMetrics::write_json(JsonWriter& w, const CacheStats& cache,
-                                const PoolStats& frame_pool,
-                                const PoolStats& prepare_pool) const {
-  w.begin_object();
-  w.key("admission").begin_object()
-      .field("submitted", submitted.load())
-      .field("accepted", accepted.load())
-      .field("rejected_queue_full", rejected_queue_full.load())
-      .field("rejected_deadline", rejected_deadline.load())
-      .field("rejected_shutdown", rejected_shutdown.load())
-      .field("async_submitted", async_submitted.load())
-      .end_object();
-  w.key("completion").begin_object()
-      .field("completed", completed.load())
-      .field("shed_deadline", shed_deadline.load())
-      .field("shed_shutdown", shed_shutdown.load())
-      .field("failed", failed.load())
-      .end_object();
-  w.key("scheduler").begin_object()
-      .field("batches", batches.load())
-      .field("batched_frames", batched_frames.load())
-      .field("profiled_frames", profiled_frames.load())
-      .field("sessions_created", sessions_created.load())
-      .field("sessions_evicted", sessions_evicted.load())
-      .field("queue_depth", static_cast<int64_t>(queue_depth.load()))
-      .field("queue_depth_max", static_cast<int64_t>(queue_depth_max.load()))
-      .end_object();
-  w.key("latency_ms").begin_object();
-  w.key("queue_wait");
-  queue_wait.write_json(w);
-  w.key("cache_miss_build");
-  cache_miss_build.write_json(w);
-  w.key("composite");
-  composite.write_json(w);
-  w.key("warp");
-  warp.write_json(w);
-  w.key("total");
-  total.write_json(w);
-  w.end_object();
-  w.key("volume_cache").begin_object()
-      .field("hits", cache.hits)
-      .field("misses", cache.misses)
-      .field("evictions", cache.evictions)
-      .field("resident_bytes", cache.bytes)
-      .field("budget_bytes", cache.budget_bytes)
-      .field("hit_rate", cache.hit_rate())
-      .end_object();
-  w.key("frame_pool");
-  write_pool_json(w, frame_pool);
-  w.key("prepare_pool");
-  write_pool_json(w, prepare_pool);
-  w.end_object();
+void ServiceMetrics::export_to(obs::MetricSink& s, const CacheStats& cache,
+                               const PoolStats& frame_pool,
+                               const PoolStats& prepare_pool) const {
+  s.begin("admission");
+  s.counter("submitted", "Render requests submitted", submitted.load());
+  s.counter("accepted", "Render requests accepted", accepted.load());
+  s.counter("rejected_queue_full", "Rejected: queue full", rejected_queue_full.load());
+  s.counter("rejected_deadline", "Rejected: deadline unmeetable", rejected_deadline.load());
+  s.counter("rejected_shutdown", "Rejected: shutting down", rejected_shutdown.load());
+  s.counter("async_submitted", "Callback-form submissions", async_submitted.load());
+  s.end();
+  s.begin("completion");
+  s.counter("completed", "Frames rendered to completion", completed.load());
+  s.counter("shed_deadline", "Accepted, shed past the deadline", shed_deadline.load());
+  s.counter("shed_shutdown", "Accepted, shed at shutdown", shed_shutdown.load());
+  s.counter("failed", "Render failures", failed.load());
+  s.end();
+  s.begin("scheduler");
+  s.counter("batches", "Dispatch batches drained", batches.load());
+  s.counter("batched_frames", "Frames that rode an existing batch", batched_frames.load());
+  s.counter("profiled_frames", "Frames that re-profiled", profiled_frames.load());
+  s.counter("sessions_created", "Render sessions created", sessions_created.load());
+  s.counter("sessions_evicted", "Render sessions evicted", sessions_evicted.load());
+  s.gauge("queue_depth", "Admission queue depth", int64_t{queue_depth.load()});
+  s.gauge("queue_depth_max", "Queue depth high-water mark", int64_t{queue_depth_max.load()});
+  s.end();
+  s.begin("latency_ms");
+  s.histogram("queue_wait", "Admission queue residency", queue_wait);
+  s.histogram("cache_miss_build", "Cache-miss volume preparation", cache_miss_build);
+  s.histogram("composite", "Compositing stage", composite);
+  s.histogram("warp", "Warp stage", warp);
+  s.histogram("total", "Submit-to-completion latency", total);
+  s.end();
+  s.begin("volume_cache");
+  s.counter("hits", "Volume cache hits", cache.hits);
+  s.counter("misses", "Volume cache misses", cache.misses);
+  s.counter("evictions", "Volume cache evictions", cache.evictions);
+  s.gauge("resident_bytes", "Resident encoded-volume bytes", cache.bytes);
+  s.gauge("budget_bytes", "Volume cache byte budget", cache.budget_bytes);
+  s.gauge("hit_rate", "Volume cache hit rate", cache.hit_rate());
+  s.end();
+  export_pool(s, "frame_pool", frame_pool);
+  export_pool(s, "prepare_pool", prepare_pool);
 }
 
 }  // namespace psw::serve

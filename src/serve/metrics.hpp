@@ -1,6 +1,7 @@
 // Telemetry for the frame-serving subsystem: admission outcomes, queue
 // depth, per-stage latency histograms (queue wait, classify, composite,
-// warp, end-to-end) and cache statistics, exportable as one JSON object.
+// warp, end-to-end) and cache statistics, listed once for every export
+// (obs::MetricSink: the JSON document and Prometheus).
 // Counters are atomics so submitters and the scheduler record without
 // locks; the export is a racy-but-consistent-enough snapshot (each counter
 // individually coherent), which is the standard contract for service
@@ -9,15 +10,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
+#include "obs/export.hpp"
 #include "serve/volume_cache.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/histogram.hpp"
-
-namespace psw {
-class JsonWriter;
-}
 
 namespace psw::serve {
 
@@ -67,18 +64,14 @@ struct ServiceMetrics {
   // sheds partition acceptances.
   bool reconciles() const;
 
-  // Writes one JSON object with counters, histograms, the given cache stats
-  // and the frame-pool / prepare-pool allocation accounting at the writer's
-  // current value slot.
-  void write_json(JsonWriter& w, const CacheStats& cache, const PoolStats& frame_pool,
-                  const PoolStats& prepare_pool) const;
-  // Same, as a standalone string.
-  std::string to_json(const CacheStats& cache, const PoolStats& frame_pool,
-                      const PoolStats& prepare_pool) const;
+  // Lists the counters, histograms, the given cache stats and the
+  // frame-pool / prepare-pool allocation accounting.
+  void export_to(obs::MetricSink& sink, const CacheStats& cache,
+                 const PoolStats& frame_pool, const PoolStats& prepare_pool) const;
 };
 
-// Shared pool-stat JSON shape ({"acquires": ..., "hit_rate": ...}); used by
-// the service (frame pool) and the net server (payload pool) exports.
-void write_pool_json(JsonWriter& w, const PoolStats& pool);
+// The one pool-stat listing, as object `key` ({"acquires": ..., "hit_rate":
+// ...}); used by the service (frame pool) and net server (payload pool).
+void export_pool(obs::MetricSink& sink, const char* key, const PoolStats& pool);
 
 }  // namespace psw::serve

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/export.hpp"
 #include "parallel/executor.hpp"
 #include "serve/metrics.hpp"
 #include "serve/request.hpp"
@@ -101,9 +102,12 @@ class RenderService {
   CacheStats cache_stats() const { return cache_.stats(); }
   PoolStats frame_pool_stats() const { return frame_pool_.stats(); }
   PoolStats prepare_pool_stats() const { return prepare_pool_.stats(); }
+  // Lists the service's metrics: counters, histograms, cache and pools.
+  void export_metrics(obs::MetricSink& sink) const {
+    metrics_.export_to(sink, cache_.stats(), frame_pool_.stats(), prepare_pool_.stats());
+  }
   std::string metrics_json() const {
-    return metrics_.to_json(cache_.stats(), frame_pool_.stats(),
-                            prepare_pool_.stats());
+    return obs::render_json([&](obs::MetricSink& s) { export_metrics(s); });
   }
 
  private:

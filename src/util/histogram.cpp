@@ -93,14 +93,9 @@ double LatencyHistogram::quantile_ms(double q) const {
 }
 
 void LatencyHistogram::write_json(JsonWriter& w) const {
-  w.begin_object()
-      .field("count", count())
-      .field("mean_ms", mean_ms())
-      .field("p50_ms", quantile_ms(0.50))
-      .field("p95_ms", quantile_ms(0.95))
-      .field("p99_ms", quantile_ms(0.99))
-      .field("max_ms", max_ms())
-      .end_object();
+  w.begin_object().field("count", count()).field("mean_ms", mean_ms());
+  for (const ExportQuantile& q : kExportQuantiles) w.field(q.json_key, quantile_ms(q.q));
+  w.field("max_ms", max_ms()).end_object();
 }
 
 }  // namespace psw

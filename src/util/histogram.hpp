@@ -13,6 +13,15 @@ namespace psw {
 
 class JsonWriter;
 
+// The quantiles every histogram export reports: the JSON members
+// (p50_ms, ...) and the Prometheus summary's quantile samples.
+struct ExportQuantile {
+  double q;
+  const char* json_key;
+};
+inline constexpr ExportQuantile kExportQuantiles[] = {
+    {0.50, "p50_ms"}, {0.95, "p95_ms"}, {0.99, "p99_ms"}};
+
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 128;
@@ -44,7 +53,7 @@ class LatencyHistogram {
   // q-th sample (0 when empty).
   double quantile_ms(double q) const;
 
-  // Writes {count, mean_ms, p50_ms, p95_ms, p99_ms, max_ms} as one object
+  // Writes {count, mean_ms, the kExportQuantiles, max_ms} as one object
   // value (caller positions the writer at a value slot).
   void write_json(JsonWriter& w) const;
 

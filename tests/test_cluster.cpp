@@ -1019,6 +1019,36 @@ TEST(ClusterRouter, WarmRouterForwardsStreamWithoutPoolMisses) {
   client.send_bye(nullptr);
 }
 
+// The router copies each relayed payload exactly once: after a warm-up
+// stream and a measured one, payload_copy_bytes equals the summed payload
+// sizes of every message relayed in either direction (the stream requests
+// up, the frames and stream ends down).
+TEST(ClusterRouter, RouterCopiesEachRelayedPayloadOnce) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  RawPeer peer(cluster.router().port());
+  peer.hello();
+  uint64_t relayed = 0;
+  for (uint64_t stream = 1; stream <= 2; ++stream) {
+    net::StreamRequestMsg req;
+    req.stream_id = stream;
+    req.session_id = 1;
+    req.volume = key_owned_by(0, 1);
+    req.frames = stream == 1 ? 5 : 30;
+    const std::vector<uint8_t> wire = RawPeer::frame(net::MsgType::kStreamRequest, req);
+    relayed += wire.size() - net::kHeaderSize;
+    peer.send(wire, 1 << 20);
+    net::WireView msg;
+    do {
+      ASSERT_TRUE(peer.read(&msg));
+      ASSERT_TRUE(msg.type == net::MsgType::kFrame || msg.type == net::MsgType::kStreamEnd);
+      relayed += msg.payload.size();
+    } while (msg.type != net::MsgType::kStreamEnd);
+  }
+  EXPECT_EQ(cluster.router().metrics().frames_forwarded.load(), 35u);
+  EXPECT_EQ(cluster.router().metrics().payload_copy_bytes.load(), relayed);
+}
+
 size_t open_fds() {
   const std::filesystem::directory_iterator fds("/proc/self/fd");
   return static_cast<size_t>(std::distance(begin(fds), end(fds)));

@@ -1348,10 +1348,6 @@ TEST(Net, PartialWritesResumeAndStayBitIdentical) {
     EXPECT_EQ(pixel_hash(direct), hash) << "seq " << seq;
   }
 
-  // The zero-copy invariant: no already-encoded byte was re-copied on its
-  // way to the socket.
-  EXPECT_EQ(server.metrics().frame_copy_bytes.load(), 0u);
-
   server.stop();
   service.drain();
   // Every pooled payload and every rendered frame came home: the counters

@@ -256,25 +256,54 @@ TEST(SpanRecorder, DumpJsonParsesAndWallAnchorsTimestamps) {
 // --- Prometheus exposition --------------------------------------------------
 
 TEST(PromText, EmitsHelpTypeAndSamples) {
-  PromText p;
-  p.counter("psw_widgets_total", "Widgets made", 3);
-  p.counter("psw_widgets_total", "Widgets made", 4, "kind=\"round\"");
-  p.gauge("psw_depth", "Queue depth", 2.5);
   LatencyHistogram h;
   h.record_ms(1.0);
   h.record_ms(3.0);
-  p.summary_ms("psw_wait_ms", "Wait", h);
-  const std::string& out = p.str();
-  // One HELP/TYPE header per metric name, even with labeled duplicates.
-  EXPECT_EQ(out.find("# HELP psw_widgets_total Widgets made"),
-            out.rfind("# HELP psw_widgets_total Widgets made"));
-  EXPECT_NE(out.find("# TYPE psw_widgets_total counter"), std::string::npos);
-  EXPECT_NE(out.find("psw_widgets_total 3"), std::string::npos);
-  EXPECT_NE(out.find("psw_widgets_total{kind=\"round\"} 4"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE psw_depth gauge"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE psw_wait_ms summary"), std::string::npos);
-  EXPECT_NE(out.find("psw_wait_ms{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_NE(out.find("psw_wait_ms_count 2"), std::string::npos);
+  const std::string out = render_prometheus([&](MetricSink& s) {
+    s.counter("widgets", "Widgets made", 3);
+    s.begin_list("bins");
+    for (const char* id : {"a", "b"}) {
+      s.begin_item("id", "bin", id);
+      s.counter("widgets", "Widgets per bin", 4);
+      s.gauge("depth", "Bin depth", 2.5);
+      s.end();
+    }
+    s.end_list();
+    s.begin("queue");
+    s.histogram("wait_ms", "Wait", h);
+    s.raw("state", "\"idle\"");
+    s.end();
+    s.gauge("big", "Past 2^32", uint64_t{12'345'678'901});
+    s.gauge("ratio", "A third", 1.0 / 3.0);
+  });
+  // Names derive from the listing path; counters end in _total.
+  EXPECT_NE(out.find("# TYPE psw_widgets_total counter\npsw_widgets_total 3\n"),
+            std::string::npos);
+  // One HELP/TYPE header per family, its labeled samples kept together
+  // although the listing interleaves the families per item.
+  EXPECT_EQ(out.find("# HELP psw_bins_widgets_total"),
+            out.rfind("# HELP psw_bins_widgets_total"));
+  EXPECT_NE(out.find("psw_bins_widgets_total{bin=\"a\"} 4\n"
+                     "psw_bins_widgets_total{bin=\"b\"} 4\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("# TYPE psw_bins_depth gauge\npsw_bins_depth{bin=\"a\"} 2.5\n"),
+            std::string::npos);
+  // A histogram is one summary: the shared quantiles, max as quantile 1,
+  // _sum and _count.
+  EXPECT_NE(out.find("# TYPE psw_queue_wait_ms summary"), std::string::npos);
+  for (const char* q : {"0.5", "0.95", "0.99", "1"}) {
+    EXPECT_NE(out.find("psw_queue_wait_ms{quantile=\"" + std::string(q) + "\"} "),
+              std::string::npos)
+        << q;
+  }
+  EXPECT_NE(out.find("psw_queue_wait_ms{quantile=\"1\"} 3\n"), std::string::npos);
+  EXPECT_NE(out.find("psw_queue_wait_ms_sum 4\n"), std::string::npos);
+  EXPECT_NE(out.find("psw_queue_wait_ms_count 2\n"), std::string::npos);
+  // Strings are JSON-only; numbers print exactly (integers in full,
+  // doubles in their shortest round-trip form).
+  EXPECT_EQ(out.find("state"), std::string::npos);
+  EXPECT_NE(out.find("psw_big 12345678901\n"), std::string::npos);
+  EXPECT_NE(out.find("psw_ratio 0.3333333333333333\n"), std::string::npos);
 }
 
 // --- reassembly -------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "alloc_probe.hpp"
+#include "obs/export.hpp"
 #include "parallel/animation.hpp"
 #include "serve/service.hpp"
 #include "shutdown.hpp"
@@ -339,8 +340,11 @@ int main(int argc, char** argv) {
     w.key("warm_latency_ms");
     outcome.warm.write_json(w);
     w.end_object();
-    w.key("service");
-    m.write_json(w, cache, fpool, ppool);
+    obs::write_json(w, [&](obs::MetricSink& s) {
+      s.begin("service");
+      m.export_to(s, cache, fpool, ppool);
+      s.end();
+    });
     w.end_object();
     std::string body = w.str();
     body += '\n';

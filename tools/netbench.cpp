@@ -47,7 +47,7 @@
 #include "core/factorization.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "obs/trace.hpp"
+#include "obs/export.hpp"
 #include "serve/volume_cache.hpp"
 #include "util/cli.hpp"
 #include "util/histogram.hpp"
@@ -225,6 +225,8 @@ void run_cluster_session(uint16_t port, uint64_t session, int frames,
     out->latency.record_ms(rtt.millis());
     ++out->frames;
   }
+  out->bytes_sent = client.bytes_sent();
+  out->bytes_received = client.bytes_received();
   client.send_bye(nullptr);
 }
 
@@ -250,6 +252,10 @@ struct ClusterConfigResult {
   uint64_t failures = 0;
   uint64_t protocol_errors = 0;
   double fps = 0.0;
+  // Relay cost of the timed sessions: payload bytes the router copied, and
+  // the bytes the clients sent and received (both per forwarded frame).
+  double copied_bytes_per_frame = 0.0;
+  double client_bytes_per_frame = 0.0;
   LatencyHistogram latency;
   std::vector<ClusterShardReport> per_shard;
   std::string error;
@@ -329,12 +335,19 @@ ClusterConfigResult run_cluster_config(int nshards, uint64_t budget, int frames,
       for (auto& d : drivers) d.join();
     }
     result.wall_ms = wall.millis();
+    uint64_t client_bytes = 0;
     for (SessionResult& s : sessions) {
       result.latency.merge(s.latency);
       result.frames_ok += s.frames;
       result.failures += s.failures;
+      client_bytes += s.bytes_sent + s.bytes_received;
       if (!s.error.empty() && result.error.empty()) result.error = s.error;
     }
+    const double forwarded =
+        static_cast<double>(std::max<uint64_t>(1, router.metrics().frames_forwarded.load()));
+    result.copied_bytes_per_frame =
+        static_cast<double>(router.metrics().payload_copy_bytes.load()) / forwarded;
+    result.client_bytes_per_frame = static_cast<double>(client_bytes) / forwarded;
     result.fps = result.wall_ms > 0
                      ? 1e3 * static_cast<double>(result.frames_ok) / result.wall_ms
                      : 0.0;
@@ -534,6 +547,8 @@ int run_cluster(const CliFlags& flags) {
                 n, static_cast<unsigned long long>(r.frames_ok), r.wall_ms,
                 r.fps, static_cast<unsigned long long>(r.failures),
                 static_cast<unsigned long long>(r.protocol_errors));
+    std::printf("    router copied %.0f B per forwarded frame; clients moved %.0f B\n",
+                r.copied_bytes_per_frame, r.client_bytes_per_frame);
     for (size_t i = 0; i < r.per_shard.size(); ++i) {
       const ClusterShardReport& s = r.per_shard[i];
       std::printf("    shard-%zu: %llu requests routed, cache %llu/%llu hits "
@@ -643,7 +658,9 @@ int run_cluster(const CliFlags& flags) {
           .field("frames_per_second", r.fps)
           .field("failures", r.failures)
           .field("protocol_errors", r.protocol_errors)
-          .field("speedup_vs_1", fps1 > 0.0 ? r.fps / fps1 : 0.0);
+          .field("speedup_vs_1", fps1 > 0.0 ? r.fps / fps1 : 0.0)
+          .field("router_copied_bytes_per_frame", r.copied_bytes_per_frame)
+          .field("client_bytes_per_frame", r.client_bytes_per_frame);
       w.key("latency");
       r.latency.write_json(w);
       w.key("per_shard").begin_array();
@@ -806,9 +823,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bytes_sent),
               static_cast<unsigned long long>(bytes_received),
               static_cast<unsigned long long>(protocol_errors));
-  std::printf("memory: %.1f allocs/frame steady-state (both endpoints), "
-              "%.1f B copied/frame server-side\n",
-              allocs_per_frame, m.bytes_copied_per_frame());
+  std::printf("memory: %.1f allocs/frame steady-state (both endpoints)\n",
+              allocs_per_frame);
 
   if (!json_path.empty()) {
     JsonWriter w;
@@ -836,13 +852,15 @@ int main(int argc, char** argv) {
         .field("frame_raw_bytes", m.frame_raw_bytes.load())
         .field("frame_wire_bytes", m.frame_wire_bytes.load())
         .field("wire_ratio", m.wire_ratio())
-        .field("allocs_per_frame", allocs_per_frame)
-        .field("bytes_copied_per_frame", m.bytes_copied_per_frame());
+        .field("allocs_per_frame", allocs_per_frame);
     w.key("latency");
     latency.write_json(w);
     w.end_object();
-    w.key("net");
-    m.write_json(w);
+    obs::write_json(w, [&](obs::MetricSink& s) {
+      s.begin("net");
+      m.export_to(s);
+      s.end();
+    });
     w.end_object();
     std::string body = w.str();
     body += '\n';
