@@ -2,6 +2,7 @@
 
 #include "phantom/phantom.hpp"
 #include "phantom/resample.hpp"
+#include "util/crc32.hpp"
 
 namespace psw {
 namespace {
@@ -71,6 +72,46 @@ TEST(MriPhantom, BordersAreEmpty) {
       EXPECT_LT(v.at(x, y, 0), 70);
       EXPECT_LT(v.at(x, y, v.nz() - 1), 70);
     }
+  }
+}
+
+// Pins the generators' output bytes. swbench's open verification and the
+// serving tests compare against these same functions, so only a fixed hash
+// catches a drift in the synthesized volumes themselves. Expected values
+// were taken from the original per-voxel generator; any rewrite must keep
+// them unchanged.
+TEST(Phantom, GoldenContentHashes) {
+  struct Case {
+    bool ct;
+    int nx, ny, nz;
+    uint64_t seed;  // 0 = the generator's default seed
+    uint32_t crc;
+  };
+  const Case cases[] = {
+      {false, 128, 128, 128, 0, 0x31aacad7u},
+      {false, 128, 128, 128, 12345, 0x30da350au},
+      {false, 256, 256, 167, 0, 0xd6d89b67u},
+      {false, 19, 17, 13, 0, 0xe0a9e8ebu},
+      {false, 97, 61, 33, 0, 0x52622f8du},
+      {false, 33, 200, 5, 0, 0xdec4b2b2u},
+      {false, 1, 1, 1, 0, 0xedb7e950u},
+      {false, 2, 1, 3, 0, 0xb453329eu},
+      {true, 128, 128, 128, 0, 0x6648e5fdu},
+      {true, 128, 128, 128, 12345, 0x38f8a09cu},
+      {true, 256, 256, 167, 0, 0x9af72166u},
+      {true, 19, 17, 13, 0, 0xd15999f1u},
+      {true, 97, 61, 33, 0, 0x2a0ce314u},
+      {true, 33, 200, 5, 0, 0x4df3dc15u},
+      {true, 1, 1, 1, 0, 0xb7b2364bu},
+      {true, 2, 1, 3, 0, 0x86333ddeu},
+  };
+  for (const Case& c : cases) {
+    const DensityVolume v = c.ct ? (c.seed ? make_ct_head(c.nx, c.ny, c.nz, c.seed)
+                                           : make_ct_head(c.nx, c.ny, c.nz))
+                                 : (c.seed ? make_mri_brain(c.nx, c.ny, c.nz, c.seed)
+                                           : make_mri_brain(c.nx, c.ny, c.nz));
+    EXPECT_EQ(crc32(v.data(), v.size()), c.crc)
+        << (c.ct ? "ct " : "mri ") << c.nx << "x" << c.ny << "x" << c.nz << " seed " << c.seed;
   }
 }
 
