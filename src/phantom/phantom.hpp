@@ -4,6 +4,14 @@
 // algorithms care about: 70-95% of voxels transparent after classification,
 // spatially coherent opaque structure (long runs), nested tissue layers with
 // distinct density bands, and an empty margin around the object.
+//
+// Both generators are deterministic in (dimensions, seed) and serial. A
+// voxel's density is 0 outside the union of the structure ellipsoids, each
+// widened by its noise bound (plus a 1e-4 level margin and one voxel). Each
+// row is evaluated only between the first and last column inside that
+// union; the voxels outside it are never sampled.
+// The output bytes are pinned by Phantom.GoldenContentHashes
+// (tests/test_phantom.cpp); a change to the generators must keep them.
 #pragma once
 
 #include <cstdint>
